@@ -19,16 +19,7 @@ from contextua.disturbance import (
     fractions_with_disturbance,
 )
 from contextua.noncontextuality import contextual_fraction
-from contextua.scenarios import pr_box
-from contextua.vorobyev import CompatibilityHypergraph
-
-
-def planted_chain(gap: Fraction) -> EmpiricalModel:
-    h = CompatibilityHypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
-    q = Fraction(1, 2) - gap
-    uniform = (Fraction(1, 4),) * 4
-    skewed = (q / 2, q / 2, (1 - q) / 2, (1 - q) / 2)
-    return EmpiricalModel(h, {"a": 2, "b": 2, "c": 2}, (uniform, skewed))
+from contextua.scenarios import planted_gap_model, pr_box
 
 
 def nudged_box(g: Fraction) -> EmpiricalModel:
@@ -65,7 +56,7 @@ def main() -> None:
     args = parser.parse_args()
 
     gaps = [Fraction(p) for p in args.gaps.split(",")]
-    report("planted chain (pure disturbance)", [(g, planted_chain(g)) for g in gaps])
+    report("planted chain (pure disturbance)", [(g, planted_gap_model(g)) for g in gaps])
     nudges = [Fraction(p) for p in args.nudges.split(",")]
     report(
         "nudged extremal box (disturbance eats contextuality)",

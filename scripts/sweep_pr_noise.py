@@ -11,22 +11,12 @@ seconds per LP at the default grid.
 import argparse
 from fractions import Fraction
 
-from contextua.core_model import EmpiricalModel
 from contextua.noncontextuality import (
     contextual_fraction,
     minimal_negativity,
     noncontextual_lp,
 )
-from contextua.scenarios import noisy_pr_fragment, pr_box
-
-
-def blended_box(w: Fraction) -> EmpiricalModel:
-    box = pr_box()
-    tables = tuple(
-        tuple(w * p + (1 - w) * Fraction(1, 4) for p in table)
-        for table in box.tables
-    )
-    return EmpiricalModel(box.hypergraph, dict(box.outcomes), tables)
+from contextua.scenarios import noisy_pr_fragment, two_party_model_from_fragment
 
 
 def fragment_feasible(w: Fraction) -> bool:
@@ -49,9 +39,10 @@ def main() -> None:
     print(f"{'w':>8} {'embedding':>10} {'negativity':>12} {'fraction':>10}")
     last_feasible, first_infeasible = None, None
     for w in grid:
-        solution = noncontextual_lp(noisy_pr_fragment(w))
-        _, negativity = minimal_negativity(noisy_pr_fragment(w))
-        cf = contextual_fraction(blended_box(w)).cf
+        f = noisy_pr_fragment(w)
+        solution = noncontextual_lp(f)
+        _, negativity = minimal_negativity(f)
+        cf = contextual_fraction(two_party_model_from_fragment(f)).cf
         print(f"{str(w):>8} {solution.status:>10} {str(negativity):>12} {str(cf):>10}")
         if solution.status == "optimal":
             last_feasible = w

@@ -14,7 +14,7 @@ try:
     from gmpy2 import mpq as _mpq
 
     HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional: the `fast` extra
     _mpq = None
     HAVE_GMPY2 = False
 

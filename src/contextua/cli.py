@@ -4,8 +4,8 @@ Every subcommand prints a human-readable table by default and canonical JSON
 with ``--json``; identical inputs and flags produce byte-identical output.
 Exit codes: 0 on success, 1 when ``--strict`` is set and the analysis verdict
 is negative (contextual / infeasible / disturbing / invalid), 2 on input
-errors (unknown subcommand, malformed JSON, scale caps), each with its own
-message.
+errors (unknown subcommand, malformed JSON, scale caps, and any ValueError an
+analysis raises on its input), each with one line on stderr.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from .connection import (
     valuation_from_values,
 )
 from .core_model import (
-    EmpiricalModel,
     effect_equivalences,
     fragment_from_json,
     fragment_to_json,
     model_from_json,
     model_to_json,
-    probability,
     state_equivalences,
     transformation_equivalences,
     validate_fragment,
@@ -57,10 +55,12 @@ from .noncontextuality import (
 )
 from .scenarios import (
     SCENARIOS,
-    pr_box,
+    noisy_pr_fragment,
+    planted_gap_model,
     random_acyclic_hypergraph,
     random_fragment,
     random_nondisturbing_model,
+    two_party_model_from_fragment,
 )
 from .vorobyev import CompatibilityHypergraph, generalized_vorobyev, graham_reduce
 
@@ -147,27 +147,16 @@ _KIND_EQUIVALENCES = {
 }
 
 
-def _object_values(args, f, kind: str) -> list[Fraction]:
-    if kind == "state":
-        expected = len(f.states)
-    elif kind == "effect":
-        expected = len(f.effects) + 1  # unit valuation rides along
-    else:
-        expected = len(f.transformations)
-    if args.values is None:
-        raise _InputError(
-            f"--values with {expected} rationals is required for kind {kind!r}"
-        )
-    return _parse_values(args.values, expected)
-
-
 def _complex_for(args, path: str, view: str):
     f = _load(fragment_from_json, path, "fragment")
-    kind = args.kind
-    eqs = _KIND_EQUIVALENCES[kind](f)
-    oc = build_object_complex(kind, f, eqs, view)
-    xi = valuation_from_values(oc, _object_values(args, f, kind))
-    return oc, xi
+    eqs = _KIND_EQUIVALENCES[args.kind](f)
+    oc = build_object_complex(args.kind, f, eqs, view)
+    if args.values is None:
+        raise _InputError(
+            f"--values with {oc.object_count} rationals is required "
+            f"for kind {args.kind!r}"
+        )
+    return oc, valuation_from_values(oc, _parse_values(args.values, oc.object_count))
 
 
 # -- subcommand handlers: (report, bad_verdict) ------------------------------
@@ -207,10 +196,7 @@ def _cmd_equivalences(args):
 
 def _cmd_nc_check(args):
     f = _load(fragment_from_json, args.file, "fragment")
-    try:
-        solution = noncontextual_lp(f)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    solution = noncontextual_lp(f)
     report = {"status": solution.status}
     if solution.status == "infeasible":
         report["certificate_verified"] = solution.certificate_checks()
@@ -232,10 +218,7 @@ def _cmd_fraction(args):
 
 def _cmd_negativity(args):
     f = _load(fragment_from_json, args.file, "fragment")
-    try:
-        _, negativity = minimal_negativity(f)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    _, negativity = minimal_negativity(f)
     return {"negativity": format_rational(negativity)}, negativity > 0
 
 
@@ -404,36 +387,15 @@ def _cmd_disturbance(args):
 # -- sweep -------------------------------------------------------------------
 
 
-def _two_party_model_at(weight: Fraction) -> EmpiricalModel:
-    from .scenarios import noisy_pr_fragment
-
-    f = noisy_pr_fragment(weight)
-    h = pr_box().hypergraph
-    tables = tuple(
-        tuple(probability(f, 0, 4 * ctx + flat) for flat in range(4))
-        for ctx in range(4)
-    )
-    return EmpiricalModel(h, {m: 2 for m in h.measurements}, tables)
-
-
-def _planted_gap_model(gap: Fraction) -> EmpiricalModel:
-    h = CompatibilityHypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
-    q = Fraction(1, 2) - gap
-    uniform = (Fraction(1, 4),) * 4
-    skewed = (q / 2, q / 2, (1 - q) / 2, (1 - q) / 2)
-    return EmpiricalModel(h, {"a": 2, "b": 2, "c": 2}, (uniform, skewed))
-
-
 def _sweep_point(family: str, param_text: str) -> dict:
     param = parse_rational(param_text)
     if family == "pr-noise":
-        from .scenarios import noisy_pr_fragment
-
-        _, negativity = minimal_negativity(noisy_pr_fragment(param))
-        report = contextual_fraction(_two_party_model_at(param))
+        f = noisy_pr_fragment(param)
+        _, negativity = minimal_negativity(f)
+        report = contextual_fraction(two_party_model_from_fragment(f))
         negativity_text = format_rational(negativity)
     else:  # disturbance-gap
-        report = fractions_with_disturbance(_planted_gap_model(param))
+        report = fractions_with_disturbance(planted_gap_model(param))
         negativity_text = ""
     return {
         "param": param_text,
@@ -667,7 +629,7 @@ def main(argv=None) -> int:
     except DisturbingModelError as exc:
         print(f"input error: disturbing model: {exc}", file=sys.stderr)
         return 2
-    except _InputError as exc:
+    except (_InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     finally:

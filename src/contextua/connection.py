@@ -221,6 +221,43 @@ def valuation_cochain(
     return valuation_from_values(oc, values)
 
 
+def _potential(
+    complex_: ddg.SimplicialComplex,
+    xi: ddg.Cochain,
+    edges: Sequence[Edge],
+    base_vertex: int,
+) -> ddg.Cochain:
+    """Least-squares potential of xi over ``edges``, through the vertex Laplacian.
+
+    One vertex per connected component of ``edges`` is pinned to 0: the
+    base vertex where the component holds it, the smallest vertex otherwise.
+    """
+    vertices = complex_.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    rhs = [Fraction(0) for _ in range(n)]
+    for a, b in edges:
+        ia, ib = index[a], index[b]
+        lap[ia][ia] += 1
+        lap[ib][ib] += 1
+        lap[ia][ib] -= 1
+        lap[ib][ia] -= 1
+        value = xi[(a, b)]
+        rhs[ib] += value
+        rhs[ia] -= value
+    graph = ddg.SimplicialComplex([(v,) for v in vertices] + list(edges))
+    pinned = {
+        base_vertex if base_vertex in component else component[0]
+        for component in graph.components()
+    }
+    free = [i for i, v in enumerate(vertices) if v not in pinned]
+    system = [[lap[i][j] for j in free] for i in free]
+    solution = linalg.solve(system, [rhs[i] for i in free])
+    assert solution is not None, "reduced Laplacian system must be solvable"
+    return ddg.Cochain(0, {(vertices[i],): x for i, x in zip(free, solution)})
+
+
 def decompose_cochain(
     complex_: ddg.SimplicialComplex,
     xi: ddg.Cochain,
@@ -236,39 +273,11 @@ def decompose_cochain(
     """
     if xi.degree != 1:
         raise ValueError(f"valuations have degree 1, got {xi.degree}")
-    vertices = complex_.vertices
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    edges = complex_.simplices(1)
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0) for _ in range(n)]
-    for a, b in edges:
-        ia, ib = index[a], index[b]
-        lap[ia][ia] += 1
-        lap[ib][ib] += 1
-        lap[ia][ib] -= 1
-        lap[ib][ia] -= 1
-        value = xi[(a, b)]
-        rhs[ib] += value
-        rhs[ia] -= value
-    pinned = set()
-    for component in complex_.components():
-        pinned.add(base_vertex if base_vertex in component else min(component))
-    free = [i for i, v in enumerate(vertices) if v not in pinned]
-    system = [[lap[i][j] for j in free] for i in free]
-    target = [rhs[i] for i in free]
-    solution = linalg.solve(system, target)
-    assert solution is not None, "reduced Laplacian system must be solvable"
-    potential_values = {}
-    for pos, i in enumerate(free):
-        if solution[pos] != 0:
-            potential_values[(vertices[i],)] = solution[pos]
-    potential = ddg.Cochain(0, potential_values)
-    omega = xi - ddg.coboundary(complex_, potential)
+    potential = _potential(complex_, xi, complex_.simplices(1), base_vertex)
     return ConnectionDecomposition(
         complex=complex_,
         potential=potential,
-        connection=omega,
+        connection=xi - ddg.coboundary(complex_, potential),
         disturbance=None,
         view=view,
     )
@@ -307,9 +316,16 @@ def phase(dec: ConnectionDecomposition, gamma: ddg.Chain) -> Fraction:
 def holonomy(
     dec: ConnectionDecomposition, gamma: ddg.Chain
 ) -> tuple[Fraction, float]:
-    """Exact phase together with its exponentiated float value."""
+    """Exact phase together with its exponentiated float value.
+
+    The float saturates where a double cannot hold it: ``inf`` for large
+    positive phases, ``0.0`` for large negative ones.
+    """
     p = phase(dec, gamma)
-    return p, math.exp(float(p))
+    try:
+        return p, math.exp(float(p))
+    except OverflowError:
+        return p, math.inf if p > 0 else 0.0
 
 
 def loop_phases(

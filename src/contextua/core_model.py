@@ -467,13 +467,57 @@ class EmpiricalModel:
         if missing:
             raise ValueError(f"{missing} not in context {context}")
         positions = [context.index(m) for m in onto]
-        out: dict[tuple[int, ...], Fraction] = {
-            key: Fraction(0) for key in self.assignments(onto)
-        }
-        for assignment in self.assignments(context):
+        table = self.tables[ctx_index]
+        out: dict[tuple[int, ...], Fraction] = {}
+        for flat, assignment in enumerate(self.assignments(context)):
             key = tuple(assignment[p] for p in positions)
-            out[key] += self.table_value(ctx_index, assignment)
+            out[key] = out.get(key, Fraction(0)) + table[flat]
         return out
+
+
+class DisturbingModelError(ValueError):
+    """Model marginals disagree on a context intersection."""
+
+
+Finding = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], Fraction]
+
+
+def context_overlaps(h: CompatibilityHypergraph):
+    """Yield ``(i, j, shared)`` for every context pair i < j that shares
+    measurements, with ``shared`` in the hypergraph's measurement order."""
+    order = {name: k for k, name in enumerate(h.measurements)}
+    for i in range(len(h.contexts)):
+        for j in range(i + 1, len(h.contexts)):
+            shared = set(h.contexts[i]) & set(h.contexts[j])
+            if shared:
+                yield i, j, tuple(sorted(shared, key=order.__getitem__))
+
+
+def detect_disturbance(model: EmpiricalModel) -> list[Finding]:
+    """All context pairs whose shared marginals differ, with exact L-inf gaps.
+
+    Returns ``(context_a, context_b, shared_measurements, gap)`` tuples in
+    context-index order; an empty list is exactly non-disturbance.
+    """
+    contexts = model.hypergraph.contexts
+    findings: list[Finding] = []
+    for i, j, shared in context_overlaps(model.hypergraph):
+        left = model.marginal(i, shared)
+        right = model.marginal(j, shared)
+        gap = max(abs(left[key] - right[key]) for key in left)
+        if gap > 0:
+            findings.append((contexts[i], contexts[j], shared, gap))
+    return findings
+
+
+def assert_nondisturbing(m: EmpiricalModel) -> None:
+    """Raise DisturbingModelError naming the first disagreeing intersection."""
+    findings = detect_disturbance(m)
+    if findings:
+        a, b, shared, _ = findings[0]
+        raise DisturbingModelError(
+            f"contexts {a} and {b} disagree on their intersection {shared}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,57 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from . import ddg, linalg
-from .connection import ConnectionDecomposition, ObjectComplex
-from .core_model import EmpiricalModel
+from . import ddg
+from .connection import ConnectionDecomposition, ObjectComplex, _potential
+from .core_model import EmpiricalModel, context_overlaps, detect_disturbance
 from .lp import LinearProgram
 from .noncontextuality import FractionReport, contextual_fraction
 from .vorobyev import CompatibilityHypergraph
-
-Finding = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], Fraction]
-
-
-def _marginal(
-    model: EmpiricalModel, ctx_index: int, onto: Sequence[str]
-) -> dict[tuple[int, ...], Fraction]:
-    context = model.hypergraph.contexts[ctx_index]
-    positions = [context.index(name) for name in onto]
-    table = model.tables[ctx_index]
-    out: dict[tuple[int, ...], Fraction] = {}
-    ranges = [range(model.outcomes[name]) for name in context]
-    for flat, assignment in enumerate(product(*ranges)):
-        key = tuple(assignment[p] for p in positions)
-        out[key] = out.get(key, Fraction(0)) + table[flat]
-    return out
-
-
-def detect_disturbance(model: EmpiricalModel) -> list[Finding]:
-    """All context pairs whose shared marginals differ, with exact L-inf gaps.
-
-    Returns ``(context_a, context_b, shared_measurements, gap)`` tuples in
-    context-index order; an empty list is exactly non-disturbance.
-    """
-    h = model.hypergraph
-    order = {name: k for k, name in enumerate(h.measurements)}
-    findings: list[Finding] = []
-    for i in range(len(h.contexts)):
-        for j in range(i + 1, len(h.contexts)):
-            shared = sorted(
-                set(h.contexts[i]) & set(h.contexts[j]), key=order.__getitem__
-            )
-            if not shared:
-                continue
-            left = _marginal(model, i, shared)
-            right = _marginal(model, j, shared)
-            gap = max(abs(left[key] - right[key]) for key in left)
-            if gap > 0:
-                findings.append(
-                    (h.contexts[i], h.contexts[j], tuple(shared), gap)
-                )
-    return findings
-
 
 @dataclass(frozen=True)
 class ExtensionResult:
@@ -138,55 +95,7 @@ def decompose_with_eta(
                 raise ValueError(f"chart map missing vertex {v}")
     kept = [e for e in edges if charts[e[0]] == charts[e[1]]]
 
-    vertices = complex_.vertices
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0) for _ in range(n)]
-    neighbors: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in kept:
-        ia, ib = index[a], index[b]
-        lap[ia][ia] += 1
-        lap[ib][ib] += 1
-        lap[ia][ib] -= 1
-        lap[ib][ia] -= 1
-        value = xi[(a, b)]
-        rhs[ib] += value
-        rhs[ia] -= value
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-
-    pinned: set[int] = set()
-    seen: set[int] = set()
-    for start in vertices:
-        if start in seen:
-            continue
-        component = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in neighbors[v]:
-                if w not in component:
-                    component.add(w)
-                    queue.append(w)
-        seen |= component
-        pinned.add(
-            oc.base_vertex if oc.base_vertex in component else min(component)
-        )
-
-    free = [i for i, v in enumerate(vertices) if v not in pinned]
-    system = [[lap[i][j] for j in free] for i in free]
-    target = [rhs[i] for i in free]
-    solution = linalg.solve(system, target)
-    assert solution is not None, "within-chart Laplacian system must be solvable"
-    potential = ddg.Cochain(
-        0,
-        {
-            (vertices[i],): solution[pos]
-            for pos, i in enumerate(free)
-            if solution[pos] != 0
-        },
-    )
+    potential = _potential(complex_, xi, kept, oc.base_vertex)
     residual = xi - ddg.coboundary(complex_, potential)
     kept_set = set(kept)
     omega = ddg.Cochain(1, {e: residual[e] for e in kept_set})
@@ -212,7 +121,6 @@ def fractions_with_disturbance(model: EmpiricalModel) -> FractionReport:
         return contextual_fraction(model)
 
     h = model.hypergraph
-    order = {name: k for k, name in enumerate(h.measurements)}
     program = LinearProgram(sense="max")
     program.add_variable("t", objective=1)
     names: list[list[str]] = []
@@ -227,24 +135,18 @@ def fractions_with_disturbance(model: EmpiricalModel) -> FractionReport:
         program.add_constraint(
             {**{var: 1 for var in row}, "t": -1}, "=", 0
         )
-    for i in range(len(h.contexts)):
-        for j in range(i + 1, len(h.contexts)):
-            shared = sorted(
-                set(h.contexts[i]) & set(h.contexts[j]), key=order.__getitem__
-            )
-            if not shared:
-                continue
-            for key in product(*(range(model.outcomes[m]) for m in shared)):
-                coeffs: dict[str, Fraction] = {}
-                for ctx_index, sign in ((i, 1), (j, -1)):
-                    context = h.contexts[ctx_index]
-                    positions = [context.index(name) for name in shared]
-                    ranges = [range(model.outcomes[m]) for m in context]
-                    for flat, assignment in enumerate(product(*ranges)):
-                        if tuple(assignment[p] for p in positions) == key:
-                            var = names[ctx_index][flat]
-                            coeffs[var] = coeffs.get(var, Fraction(0)) + sign
-                program.add_constraint(coeffs, "=", 0)
+    for i, j, shared in context_overlaps(h):
+        for key in product(*(range(model.outcomes[m]) for m in shared)):
+            coeffs: dict[str, Fraction] = {}
+            for ctx_index, sign in ((i, 1), (j, -1)):
+                context = h.contexts[ctx_index]
+                positions = [context.index(name) for name in shared]
+                ranges = [range(model.outcomes[m]) for m in context]
+                for flat, assignment in enumerate(product(*ranges)):
+                    if tuple(assignment[p] for p in positions) == key:
+                        var = names[ctx_index][flat]
+                        coeffs[var] = coeffs.get(var, Fraction(0)) + sign
+            program.add_constraint(coeffs, "=", 0)
     solution = program.solve()
     assert solution.status == "optimal", solution.status
     t = solution.assignment.get("t", Fraction(0))

@@ -21,9 +21,11 @@ from typing import Mapping, Sequence
 from . import linalg
 from .connection import build_object_complex, decompose, valuation_from_values
 from .core_model import (
+    DisturbingModelError,
     EmpiricalModel,
     GptFragment,
     OperationalEquivalence,
+    assert_nondisturbing,
     effect_equivalences,
     probability,
     state_equivalences,
@@ -41,10 +43,6 @@ MAX_ASSIGNMENTS = 4096
 
 class ScaleCapError(ValueError):
     """Input is beyond the desk-scale caps of the exact enumerations."""
-
-
-class DisturbingModelError(ValueError):
-    """Model marginals disagree on a context intersection."""
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +361,6 @@ class FractionReport:
         assert total == 1, f"fractions sum to {total}"
         for part in (self.ncf, self.cf, self.df):
             assert 0 <= part <= 1
-
-
-def assert_nondisturbing(m: EmpiricalModel) -> None:
-    """Raise DisturbingModelError naming the first disagreeing intersection."""
-    h = m.hypergraph
-    for i in range(len(h.contexts)):
-        for j in range(i + 1, len(h.contexts)):
-            shared = [x for x in h.contexts[i] if x in h.contexts[j]]
-            if shared and m.marginal(i, shared) != m.marginal(j, shared):
-                raise DisturbingModelError(
-                    f"contexts {h.contexts[i]} and {h.contexts[j]} disagree "
-                    f"on their intersection {tuple(shared)}"
-                )
 
 
 def _global_assignments(m: EmpiricalModel):

@@ -3,7 +3,7 @@
 Everything quantum lives here: Born-rule numbers are computed in floating
 point and rationalized once per independent table entry (denominator bound
 10**6), so every module downstream of a generator works with exact
-rationals.  Generators assert their own output contracts — fragments
+rationals.  Generators check their own output contracts — fragments
 validate, empirical model tables are non-disturbing — rather than trusting
 the construction.
 """
@@ -20,6 +20,7 @@ from .core_model import (
     EmpiricalModel,
     GptFragment,
     OnticRepresentation,
+    assert_nondisturbing,
     probability,
     validate_fragment,
 )
@@ -41,19 +42,8 @@ KCBS_OVERLAP = 1.0 / math.sqrt(5.0)
 
 
 def _check_model(m: EmpiricalModel) -> EmpiricalModel:
-    """Assert exact marginal agreement on every context intersection."""
-    h = m.hypergraph
-    for i in range(len(h.contexts)):
-        for j in range(i + 1, len(h.contexts)):
-            shared = [x for x in h.contexts[i] if x in h.contexts[j]]
-            if not shared:
-                continue
-            left = m.marginal(i, shared)
-            right = m.marginal(j, shared)
-            assert left == right, (
-                f"generated model disturbs on {shared} between contexts "
-                f"{h.contexts[i]} and {h.contexts[j]}"
-            )
+    """Raise DisturbingModelError unless every context intersection agrees."""
+    assert_nondisturbing(m)
     return m
 
 
@@ -313,6 +303,38 @@ def pr_box() -> EmpiricalModel:
     return _two_party_model(
         (Fraction(1), Fraction(1), Fraction(1), Fraction(-1))
     )
+
+
+def two_party_model_from_fragment(f: GptFragment) -> EmpiricalModel:
+    """Two-party table read off state 0 of a correlator-coordinate fragment.
+
+    Effects ``4 * ctx .. 4 * ctx + 3`` are the row-major outcome table of
+    context ``ctx``, in the measurement order of :func:`pr_box_fragment`.
+    """
+    tables = tuple(
+        tuple(probability(f, 0, 4 * ctx + flat) for flat in range(4))
+        for ctx in range(4)
+    )
+    return _check_model(
+        EmpiricalModel(
+            hypergraph=_TWO_PARTY,
+            outcomes={m: 2 for m in _TWO_PARTY.measurements},
+            tables=tables,
+        )
+    )
+
+
+def planted_gap_model(gap: Fraction) -> EmpiricalModel:
+    """Path a-b-c whose contexts disagree by ``gap`` on the marginal of b.
+
+    The (a, b) table is uniform; the (b, c) table gives b = 0 the weight
+    1/2 - gap, so the model disturbs for every gap in (0, 1/2].
+    """
+    h = CompatibilityHypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    q = Fraction(1, 2) - gap
+    uniform = (Fraction(1, 4),) * 4
+    skewed = (q / 2, q / 2, (1 - q) / 2, (1 - q) / 2)
+    return EmpiricalModel(h, {"a": 2, "b": 2, "c": 2}, (uniform, skewed))
 
 
 def chsh_quantum(

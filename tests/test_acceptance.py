@@ -27,7 +27,6 @@ from contextua.core_model import (
     GptFragment,
     OperationalEquivalence,
     effect_equivalences,
-    probability,
     state_equivalences,
 )
 from contextua.disturbance import (
@@ -56,6 +55,7 @@ from contextua.scenarios import (
     halving_fragment,
     induced_singleton_model,
     noisy_pr_fragment,
+    planted_gap_model,
     pr_box,
     pr_box_fragment,
     product_model,
@@ -67,6 +67,7 @@ from contextua.scenarios import (
     random_fragment,
     random_nondisturbing_model,
     random_ontic_table,
+    two_party_model_from_fragment,
 )
 from contextua.vorobyev import (
     CompatibilityHypergraph,
@@ -126,16 +127,6 @@ def table_corpus():
             entries.append((f, kind, eqs, reps))
             tables += len(reps)
     return entries
-
-
-def two_party_model_from_fragment(f):
-    """Read the four pair-measurement tables off the fragment's first state."""
-    h = pr_box().hypergraph
-    tables = tuple(
-        tuple(probability(f, 0, 4 * ctx + flat) for flat in range(4))
-        for ctx in range(4)
-    )
-    return EmpiricalModel(h, {m: 2 for m in h.measurements}, tables)
 
 
 # -- #1 exact calculus -------------------------------------------------------
@@ -434,14 +425,6 @@ def test_criterion_09_certificates_never_contradict(corpus_fragments, corpus_lps
 # -- #10 disturbance splits off cleanly --------------------------------------
 
 
-def _planted_gap_model(gap):
-    h = CompatibilityHypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
-    q = F(1, 2) - gap
-    uniform = (F(1, 4),) * 4
-    skewed = (q / 2, q / 2, (1 - q) / 2, (1 - q) / 2)
-    return EmpiricalModel(h, {"a": 2, "b": 2, "c": 2}, (uniform, skewed))
-
-
 def _perturbed_box_model(g):
     box = pr_box()
     corner = (F(1), F(0), F(0), F(0))
@@ -457,8 +440,8 @@ def test_criterion_10_disturbance_pipeline(corpus_fragments):
         kcbs_quantum(),
         induced_singleton_model(corpus_fragments["halving"], 0),
         induced_singleton_model(corpus_fragments["qubit"], 0),
-        _planted_gap_model(F(1, 8)),
-        _planted_gap_model(F(1, 4)),
+        planted_gap_model(F(1, 8)),
+        planted_gap_model(F(1, 4)),
         _perturbed_box_model(F(1, 8)),
         _perturbed_box_model(F(1, 2)),
     ]
@@ -471,7 +454,7 @@ def test_criterion_10_disturbance_pipeline(corpus_fragments):
         )
         if not detect_disturbance(m):
             assert report.df == 0
-    assert fractions_with_disturbance(_planted_gap_model(F(1, 8))).df == F(1, 8)
+    assert fractions_with_disturbance(planted_gap_model(F(1, 8))).df == F(1, 8)
 
     # exact three-part recomposition on a loop complex under random charts
     g = halving_fragment()

@@ -303,6 +303,17 @@ def test_input_error_exit_codes(capsys, tmp_path):
     assert run(capsys, "scenarios", "emit", "nosuch")[0] == 2
     assert run(capsys, "scenarios", "emit")[0] == 2
 
+    # library ValueErrors on bad input end in exit 2 with one line, no traceback
+    hollow = tmp_path / "hollow.json"
+    hollow.write_text("[[0,1],[1,2],[0,2]]")
+    code, _, err = run(capsys, "homology", str(hollow), "--n", "-1")
+    assert code == 2 and "nonnegative" in err and len(err.splitlines()) == 1
+    gbit = emit(capsys, tmp_path, "gbit")
+    code, _, err = run(
+        capsys, "decompose", gbit, "--kind", "transformation", "--values", "1"
+    )
+    assert code == 2 and "transformation" in err and len(err.splitlines()) == 1
+
 
 def test_scale_cap_flag_is_scoped(capsys, tmp_path):
     path = emit(capsys, tmp_path, "pr-box")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -311,6 +312,10 @@ def test_phase_and_holonomy_group_laws():
     assert abs(h2 - h1 * h1) < 1e-12
     with pytest.raises(ValueError):
         phase(dec, ddg.Chain(1, {(0, 1): F(1)}))
+    # phases beyond a double's exponent range saturate instead of overflowing
+    for value, saturated in ((F(1000), math.inf), (F(-1000), 0.0)):
+        big = decompose_cochain(k, ddg.Cochain(1, {(0, 1): value}))
+        assert holonomy(big, gamma) == (value, saturated)
 
 
 @settings(max_examples=50)

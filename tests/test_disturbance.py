@@ -12,7 +12,11 @@ from contextua.connection import (
     phase,
     valuation_from_values,
 )
-from contextua.core_model import EmpiricalModel, effect_equivalences
+from contextua.core_model import (
+    EmpiricalModel,
+    effect_equivalences,
+    state_equivalences,
+)
 from contextua.disturbance import (
     decompose_with_eta,
     detect_disturbance,
@@ -24,23 +28,16 @@ from contextua.scenarios import (
     chsh_quantum,
     halving_fragment,
     kcbs_quantum,
+    planted_gap_model,
     pr_box,
     product_model,
     random_acyclic_hypergraph,
+    random_fragment,
     random_nondisturbing_model,
 )
 from contextua.vorobyev import CompatibilityHypergraph
 
 F = Fraction
-
-
-def planted(gap):
-    """Path scenario a-b-c with a marginal gap on the shared measurement b."""
-    h = CompatibilityHypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
-    q = F(1, 2) - gap
-    uniform = (F(1, 4),) * 4
-    skewed = (q / 2, q / 2, (1 - q) / 2, (1 - q) / 2)
-    return EmpiricalModel(h, {"a": 2, "b": 2, "c": 2}, (uniform, skewed))
 
 
 def perturbed_pr(g):
@@ -83,7 +80,7 @@ def test_product_and_quantum_models_are_clean():
 
 
 def test_planted_gap_is_reported_exactly():
-    findings = detect_disturbance(planted(F(1, 4)))
+    findings = detect_disturbance(planted_gap_model(F(1, 4)))
     assert findings == [(("a", "b"), ("b", "c"), ("b",), F(1, 4))]
 
 
@@ -114,7 +111,7 @@ def test_extension_is_identity_on_clean_models():
 
 
 def test_extension_splits_the_disturbing_measurement():
-    m = planted(F(1, 4))
+    m = planted_gap_model(F(1, 4))
     ext = extend_scenario(m)
     assert detect_disturbance(ext.model) == []
     assert ext.model.hypergraph.contexts == (("a", "b@0"), ("b@1", "c"))
@@ -168,6 +165,34 @@ def test_constant_chart_reduces_to_plain_decomposition(halving_complex):
     assert dec.connection == plain.connection
     assert dec.disturbance.is_zero
     assert dec.recomposed() == xi
+
+
+def test_single_chart_matches_plain_decomposition_on_random_complexes():
+    rng = Random(21)
+    checked = 0
+    for seed in range(16):
+        f = random_fragment(Random(seed))
+        for kind, eqs in (
+            ("state", state_equivalences(f)),
+            ("effect", effect_equivalences(f, include_unit=True)),
+        ):
+            for view in ("geometrical", "topological"):
+                oc = build_object_complex(kind, f, eqs, view)
+                xi = valuation_from_values(
+                    oc,
+                    [
+                        F(rng.randrange(-6, 7), rng.randrange(1, 4))
+                        for _ in range(oc.object_count)
+                    ],
+                )
+                charts = {v: 0 for v in oc.complex.vertices}
+                dec = decompose_with_eta(oc, xi, charts)
+                plain = decompose(oc, xi)
+                assert dec.potential == plain.potential
+                assert dec.connection == plain.connection
+                assert dec.disturbance.is_zero
+                checked += 1
+    assert checked == 64
 
 
 def test_two_charts_split_support_and_phases(halving_complex):
@@ -232,7 +257,7 @@ def test_clean_models_delegate_to_contextual_fraction():
 def test_planted_family_df_equals_the_gap():
     previous = F(-1)
     for gap in (F(0), F(1, 8), F(1, 4), F(3, 8)):
-        m = planted(gap)
+        m = planted_gap_model(gap)
         report = fractions_with_disturbance(m)
         assert report.df == gap
         assert report.cf == 0  # path scenarios cannot be contextual

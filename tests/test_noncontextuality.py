@@ -40,6 +40,7 @@ from contextua.scenarios import (
     qubit_fragment,
     random_fragment,
     random_nondisturbing_model,
+    two_party_model_from_fragment,
 )
 from contextua.vorobyev import CompatibilityHypergraph
 
@@ -62,16 +63,6 @@ def noisy_results():
         "half": (half, noncontextual_lp(half)),
         "strong": (strong, noncontextual_lp(strong), minimal_negativity(strong)),
     }
-
-
-def two_party_model_from_fragment(f):
-    """Read the four pair-measurement tables off the fragment's first state."""
-    h = pr_box().hypergraph
-    tables = tuple(
-        tuple(probability(f, 0, 4 * ctx + flat) for flat in range(4))
-        for ctx in range(4)
-    )
-    return EmpiricalModel(h, {m: 2 for m in h.measurements}, tables)
 
 
 def mix_models(t, m1, m2):

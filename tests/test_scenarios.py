@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from contextua.core_model import (
+    DisturbingModelError,
+    EmpiricalModel,
     effect_equivalences,
     probability,
     state_equivalences,
@@ -18,6 +20,7 @@ from contextua.interference import i2
 from contextua.scenarios import (
     SCENARIOS,
     TSIRELSON_ANGLES,
+    _check_model,
     chsh_quantum,
     chsh_value,
     classical_simplex,
@@ -36,6 +39,7 @@ from contextua.scenarios import (
     random_fragment,
     random_nondisturbing_model,
     random_ontic_table,
+    two_party_model_from_fragment,
     two_slit_measure,
 )
 from contextua.vorobyev import CompatibilityHypergraph, graham_reduce, is_acyclic
@@ -161,6 +165,16 @@ def test_noisy_pr_interpolates_between_box_and_noise():
     with pytest.raises(ValueError):
         noisy_pr_fragment(2)
 
+    # the model read off state 0 is the extremal box blended with uniform noise
+    box = pr_box()
+    for w in map(Fraction, ("0", "1/4", "1/2", "2/3", "1")):
+        blended = tuple(
+            tuple(w * p + (1 - w) * Fraction(1, 4) for p in table)
+            for table in box.tables
+        )
+        model = two_party_model_from_fragment(noisy_pr_fragment(w))
+        assert model == EmpiricalModel(box.hypergraph, box.outcomes, blended)
+
 
 def _correlation_oracle(alpha: float, beta: float) -> float:
     """Born-rule correlator for the maximally correlated two-qubit state."""
@@ -254,6 +268,13 @@ def test_product_and_singleton_models_are_consistent():
         (Fraction(1, 4), Fraction(3, 4)),
     )
     assert_consistent(sm)
+
+    # the generators' own check raises a typed error, which survives python -O
+    half, zero = Fraction(1, 2), Fraction(0)
+    tables = ((half, zero, half, zero), (zero, zero, half, half))
+    disturbing = EmpiricalModel(h, {"a": 2, "b": 2, "c": 2}, tables)
+    with pytest.raises(DisturbingModelError, match=r"\('b',\)"):
+        _check_model(disturbing)
 
 
 def test_random_acyclic_hypergraphs_reduce_to_empty():
