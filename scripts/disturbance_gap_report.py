@@ -12,22 +12,13 @@ fraction left after splitting the disagreeing measurements apart.
 import argparse
 from fractions import Fraction
 
-from contextua.core_model import EmpiricalModel
 from contextua.disturbance import (
     detect_disturbance,
     extend_scenario,
     fractions_with_disturbance,
 )
 from contextua.noncontextuality import contextual_fraction
-from contextua.scenarios import planted_gap_model, pr_box
-
-
-def nudged_box(g: Fraction) -> EmpiricalModel:
-    box = pr_box()
-    corner = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    tables = list(box.tables)
-    tables[3] = tuple((1 - g) * p + g * c for p, c in zip(tables[3], corner))
-    return EmpiricalModel(box.hypergraph, dict(box.outcomes), tuple(tables))
+from contextua.scenarios import nudged_box, planted_gap_model
 
 
 def report(title, models):

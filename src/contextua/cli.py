@@ -18,7 +18,6 @@ from multiprocessing import Pool
 from random import Random
 
 from . import ddg
-from . import noncontextuality as _nc
 from ._rat import format_rational, parse_rational
 from .connection import (
     build_object_complex,
@@ -48,6 +47,7 @@ from .disturbance import (
 from .interference import all_i2, all_i3, measure_from_json, measure_to_json
 from .noncontextuality import (
     DisturbingModelError,
+    Limits,
     ScaleCapError,
     contextual_fraction,
     minimal_negativity,
@@ -62,7 +62,7 @@ from .scenarios import (
     random_nondisturbing_model,
     two_party_model_from_fragment,
 )
-from .vorobyev import CompatibilityHypergraph, generalized_vorobyev, graham_reduce
+from .vorobyev import CompatibilityHypergraph, graham_reduce, h1_certificate
 
 
 class _InputError(Exception):
@@ -159,6 +159,16 @@ def _complex_for(args, path: str, view: str):
     return oc, valuation_from_values(oc, _parse_values(args.values, oc.object_count))
 
 
+def _limits(args) -> Limits:
+    """The run's size guards; checked before any input file is read."""
+    cap = args.scale_cap
+    if cap is None:
+        return Limits()
+    if cap < 1:
+        raise _InputError(f"--scale-cap must be positive, got {cap}")
+    return Limits(cap, cap, cap)
+
+
 # -- subcommand handlers: (report, bad_verdict) ------------------------------
 
 
@@ -195,8 +205,9 @@ def _cmd_equivalences(args):
 
 
 def _cmd_nc_check(args):
+    limits = _limits(args)
     f = _load(fragment_from_json, args.file, "fragment")
-    solution = noncontextual_lp(f)
+    solution = noncontextual_lp(f, limits=limits)
     report = {"status": solution.status}
     if solution.status == "infeasible":
         report["certificate_verified"] = solution.certificate_checks()
@@ -204,8 +215,9 @@ def _cmd_nc_check(args):
 
 
 def _cmd_fraction(args):
+    limits = _limits(args)
     m = _load(model_from_json, args.file, "model")
-    report = contextual_fraction(m)
+    report = contextual_fraction(m, limits=limits)
     payload = {
         "ncf": format_rational(report.ncf),
         "cf": format_rational(report.cf),
@@ -217,8 +229,9 @@ def _cmd_fraction(args):
 
 
 def _cmd_negativity(args):
+    limits = _limits(args)
     f = _load(fragment_from_json, args.file, "fragment")
-    _, negativity = minimal_negativity(f)
+    _, negativity = minimal_negativity(f, limits=limits)
     return {"negativity": format_rational(negativity)}, negativity > 0
 
 
@@ -275,8 +288,7 @@ def _cmd_homology(args):
 def _cmd_vorobyev(args):
     if args.generalized is not None:
         complex_ = _load(ddg.complex_from_json, args.generalized, "complex")
-        betti = ddg.homology(complex_, 1).betti
-        verdict = "noncontextual-certified" if betti == 0 else "inconclusive"
+        verdict, betti = h1_certificate(complex_)
         return {"verdict": verdict, "betti_1": betti}, False
     if args.file is None:
         raise _InputError("vorobyev needs a hypergraph file or --generalized")
@@ -355,6 +367,7 @@ def _cmd_scenarios(args):
 
 
 def _cmd_disturbance(args):
+    limits = _limits(args)
     m = _load(model_from_json, args.file, "model")
     findings = detect_disturbance(m)
     report = {
@@ -375,7 +388,7 @@ def _cmd_disturbance(args):
             "mapping": dict(sorted(ext.mapping.items())),
         }
     if args.fractions:
-        fractions = fractions_with_disturbance(m)
+        fractions = fractions_with_disturbance(m, limits=limits)
         report["fractions"] = {
             "ncf": format_rational(fractions.ncf),
             "cf": format_rational(fractions.cf),
@@ -600,18 +613,6 @@ def _render_human(report: dict, indent: int = 0) -> list[str]:
     return lines
 
 
-def _apply_scale_cap(cap: int | None):
-    previous = (_nc.MAX_EFFECTS, _nc.MAX_EQUIVALENCES, _nc.MAX_ASSIGNMENTS)
-    if cap is None:
-        return previous
-    if cap < 1:
-        raise _InputError(f"--scale-cap must be positive, got {cap}")
-    _nc.MAX_EFFECTS = cap
-    _nc.MAX_EQUIVALENCES = cap
-    _nc.MAX_ASSIGNMENTS = cap
-    return previous
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -619,9 +620,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed its message
         code = exc.code
         return code if isinstance(code, int) else 2
-    previous_caps = None
     try:
-        previous_caps = _apply_scale_cap(getattr(args, "scale_cap", None))
         report, bad = args.handler(args)
     except ScaleCapError as exc:
         print(f"input error: scale cap exceeded: {exc}", file=sys.stderr)
@@ -632,9 +631,6 @@ def main(argv=None) -> int:
     except (_InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if previous_caps is not None:
-            _nc.MAX_EFFECTS, _nc.MAX_EQUIVALENCES, _nc.MAX_ASSIGNMENTS = previous_caps
     if "_raw" in report:
         print(report["_raw"])
     elif args.json:

@@ -13,7 +13,6 @@ cohomology classes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -374,7 +373,3 @@ def decomposition_report(oc: ObjectComplex, dec: ConnectionDecomposition) -> dic
     if oc.view == "geometrical":
         report["curvature"] = _cochain_payload(curvature(oc, dec).values)
     return report
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)

@@ -304,10 +304,6 @@ class NcReport:
         )
 
     @property
-    def is_valid_representation(self) -> bool:
-        return self.reproduction_error == 0
-
-    @property
     def is_noncontextual(self) -> bool:
         return (
             self.reproduction_error == 0

@@ -78,9 +78,6 @@ class SimplicialComplex:
         canonical, _ = _sort_with_sign(tuple(simplex))
         return canonical in self._index.get(len(canonical) - 1, {})
 
-    def index_of(self, simplex: Simplex) -> int:
-        return self._index[len(simplex) - 1][simplex]
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** dim * len(spxs) for dim, spxs in self._simplices.items())
 

@@ -18,7 +18,7 @@ from . import ddg
 from .connection import ConnectionDecomposition, ObjectComplex, _potential
 from .core_model import EmpiricalModel, context_overlaps, detect_disturbance
 from .lp import LinearProgram
-from .noncontextuality import FractionReport, contextual_fraction
+from .noncontextuality import FractionReport, Limits, contextual_fraction
 from .vorobyev import CompatibilityHypergraph
 
 @dataclass(frozen=True)
@@ -39,7 +39,10 @@ def _split_measurement(
     for i, context in enumerate(h.contexts):
         if name in context:
             copy = f"{name}@{i}"
-            assert copy not in h.measurements, f"name collision on {copy}"
+            if copy in h.measurements:
+                raise ValueError(
+                    f"cannot split {name!r}: measurement {copy!r} already exists"
+                )
             copies.append(copy)
             renames[copy] = name
             contexts.append(tuple(copy if m == name else m for m in context))
@@ -109,7 +112,9 @@ def decompose_with_eta(
     )
 
 
-def fractions_with_disturbance(model: EmpiricalModel) -> FractionReport:
+def fractions_with_disturbance(
+    model: EmpiricalModel, *, limits: Limits = Limits()
+) -> FractionReport:
     """Fraction report with the disturbing weight split off first.
 
     The disturbing fraction is one minus the largest sub-mass that all
@@ -118,7 +123,7 @@ def fractions_with_disturbance(model: EmpiricalModel) -> FractionReport:
     so the three weights sum to one exactly.
     """
     if not detect_disturbance(model):
-        return contextual_fraction(model)
+        return contextual_fraction(model, limits=limits)
 
     h = model.hypergraph
     program = LinearProgram(sense="max")
@@ -182,7 +187,7 @@ def fractions_with_disturbance(model: EmpiricalModel) -> FractionReport:
         dict(model.outcomes),
         tuple(tuple(u / t for u in row) for row in common),
     )
-    inner = contextual_fraction(agreeing)
+    inner = contextual_fraction(agreeing, limits=limits)
     return FractionReport(
         ncf=t * inner.ncf,
         cf=t * inner.cf,

@@ -39,11 +39,6 @@ def mat_vec(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Ve
     return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in matrix]
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
 def _rref_internal(m):
     """In-place RREF on lifted rows; returns pivot column list."""
     if not m:

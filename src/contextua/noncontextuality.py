@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import linalg
 from .connection import build_object_complex, decompose, valuation_from_values
@@ -36,13 +36,20 @@ from .lp import LinearProgram, LpSolution
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-MAX_EFFECTS = 20
-MAX_EQUIVALENCES = 12
-MAX_ASSIGNMENTS = 4096
-
 
 class ScaleCapError(ValueError):
     """Input is beyond the desk-scale caps of the exact enumerations."""
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Desk-scale caps of the exact enumerations: effects and effect
+    equivalences entering the response polytope, and global assignments
+    entering the contextual-fraction LP."""
+
+    effects: int = 20
+    equivalences: int = 12
+    assignments: int = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +141,10 @@ def _cut_vertices(dim, box, extras):
 
 
 def response_vertices(
-    f: GptFragment, eqs: Sequence[OperationalEquivalence] | None = None
+    f: GptFragment,
+    eqs: Sequence[OperationalEquivalence] | None = None,
+    *,
+    limits: Limits = Limits(),
 ) -> ResponsePolytope:
     """Exact vertex enumeration of the valuation polytope.
 
@@ -145,11 +155,11 @@ def response_vertices(
     if eqs is None:
         eqs = effect_equivalences(f, include_unit=True)
     n = len(f.effects)
-    if n > MAX_EFFECTS:
-        raise ScaleCapError(f"scale cap: {n} effects exceeds {MAX_EFFECTS}")
-    if len(eqs) > MAX_EQUIVALENCES:
+    if n > limits.effects:
+        raise ScaleCapError(f"scale cap: {n} effects exceeds {limits.effects}")
+    if len(eqs) > limits.equivalences:
         raise ScaleCapError(
-            f"scale cap: {len(eqs)} equivalences exceeds {MAX_EQUIVALENCES}"
+            f"scale cap: {len(eqs)} equivalences exceeds {limits.equivalences}"
         )
 
     equalities: list[tuple[tuple[Fraction, ...], Fraction]] = []
@@ -228,7 +238,15 @@ def response_vertices(
 # simplex-embedding feasibility and negativity
 
 
-def _prepared(f, eqs_states, eqs_effects):
+def _embedding_program(f: GptFragment, signed: bool, limits: Limits):
+    """The embedding LP over the response vertices, ready to solve.
+
+    Each ontic point lam and state s get a weight: mu_lam_s >= 0, or, when
+    ``signed``, the split pos_lam_s - neg_lam_s with the total neg mass as
+    the objective.  The rows make every state's weights sum to one, hold
+    every state dependence pointwise, and reproduce the fragment's
+    probability table through the vertex valuations.
+    """
     if f.transformations:
         raise ValueError(
             "fragments with transformations are not supported by the "
@@ -237,35 +255,37 @@ def _prepared(f, eqs_states, eqs_effects):
     report = validate_fragment(f)
     if not report.ok:
         raise ValueError(f"fragment fails validation: {report.violations}")
-    if eqs_states is None:
-        eqs_states = state_equivalences(f)
-    if eqs_effects is None:
-        eqs_effects = effect_equivalences(f, include_unit=True)
-    polytope = response_vertices(f, eqs_effects)
-    assert not polytope.is_empty, (
-        "a validated fragment's own probabilities inhabit the polytope"
-    )
-    return eqs_states, eqs_effects, polytope
-
-
-def _embedding_constraints(program, f, eqs_states, vertices, name):
-    """Rows shared by the feasibility and the negativity programs.
-
-    ``name(lam, s)`` maps an ontic point and a state index to a dict of
-    signed variable names, so the same rows serve split variables too.
-    """
+    eqs_states = state_equivalences(f)
+    polytope = response_vertices(f, limits=limits)
+    if polytope.is_empty:
+        raise AssertionError(
+            "a validated fragment's own probabilities inhabit the polytope"
+        )
+    vertices = polytope.vertices
     n_states = len(f.states)
+    program = LinearProgram("min")
+    weight: dict[tuple[int, int], dict[str, Fraction]] = {}
+    for lam in range(len(vertices)):
+        for s in range(n_states):
+            if signed:
+                pos, neg = f"pos_{lam}_{s}", f"neg_{lam}_{s}"
+                program.add_variable(pos)
+                program.add_variable(neg, objective=1)
+                weight[lam, s] = {pos: _ONE, neg: -_ONE}
+            else:
+                program.add_variable(f"mu_{lam}_{s}")
+                weight[lam, s] = {f"mu_{lam}_{s}": _ONE}
+
     for s in range(n_states):
         row: dict[str, Fraction] = {}
         for lam in range(len(vertices)):
-            for var, sign in name(lam, s).items():
-                row[var] = sign
+            row.update(weight[lam, s])
         program.add_constraint(row, "=", 1)
     for eq in eqs_states:
         for lam in range(len(vertices)):
             row = {}
             for s, c in eq.coefficients.items():
-                for var, sign in name(lam, s).items():
+                for var, sign in weight[lam, s].items():
                     row[var] = sign * c
             program.add_constraint(row, "=", 0)
     for r in range(len(f.effects)):
@@ -274,16 +294,13 @@ def _embedding_constraints(program, f, eqs_states, vertices, name):
             for lam, vertex in enumerate(vertices):
                 if vertex[r] == 0:
                     continue
-                for var, sign in name(lam, s).items():
+                for var, sign in weight[lam, s].items():
                     row[var] = sign * vertex[r]
             program.add_constraint(row, "=", probability(f, s, r))
+    return program
 
 
-def noncontextual_lp(
-    f: GptFragment,
-    eqs_states: Sequence[OperationalEquivalence] | None = None,
-    eqs_effects: Sequence[OperationalEquivalence] | None = None,
-) -> LpSolution:
+def noncontextual_lp(f: GptFragment, *, limits: Limits = Limits()) -> LpSolution:
     """Feasibility of a classical embedding over the response vertices.
 
     Searches for per-state mixtures mu(lam | s) >= 0 that sum to one,
@@ -291,45 +308,19 @@ def noncontextual_lp(
     probability table through the vertex valuations.  Optimal means such
     an embedding exists; infeasible carries an exact Farkas certificate.
     """
-    eqs_states, eqs_effects, polytope = _prepared(f, eqs_states, eqs_effects)
-    program = LinearProgram("min")
-    for lam in range(len(polytope.vertices)):
-        for s in range(len(f.states)):
-            program.add_variable(f"mu_{lam}_{s}")
-    _embedding_constraints(
-        program,
-        f,
-        eqs_states,
-        polytope.vertices,
-        lambda lam, s: {f"mu_{lam}_{s}": _ONE},
-    )
-    return program.solve()
+    return _embedding_program(f, False, limits).solve()
 
 
 def minimal_negativity(
-    f: GptFragment,
-    eqs_states: Sequence[OperationalEquivalence] | None = None,
-    eqs_effects: Sequence[OperationalEquivalence] | None = None,
+    f: GptFragment, *, limits: Limits = Limits()
 ) -> tuple[LpSolution, Fraction | None]:
     """Cheapest signed embedding: mu = plus - minus, minimizing the total
     minus mass.  Zero exactly when the unsigned feasibility check passes."""
-    eqs_states, eqs_effects, polytope = _prepared(f, eqs_states, eqs_effects)
-    program = LinearProgram("min")
-    for lam in range(len(polytope.vertices)):
-        for s in range(len(f.states)):
-            program.add_variable(f"pos_{lam}_{s}")
-            program.add_variable(f"neg_{lam}_{s}", objective=1)
-    _embedding_constraints(
-        program,
-        f,
-        eqs_states,
-        polytope.vertices,
-        lambda lam, s: {f"pos_{lam}_{s}": _ONE, f"neg_{lam}_{s}": -_ONE},
-    )
-    solution = program.solve()
-    assert solution.status == "optimal", (
-        "signed mixtures always reach the table of a validated fragment"
-    )
+    solution = _embedding_program(f, True, limits).solve()
+    if solution.status != "optimal":
+        raise AssertionError(
+            "signed mixtures always reach the table of a validated fragment"
+        )
     return solution, solution.objective
 
 
@@ -363,14 +354,14 @@ class FractionReport:
             assert 0 <= part <= 1
 
 
-def _global_assignments(m: EmpiricalModel):
+def _global_assignments(m: EmpiricalModel, limits: Limits):
     names = m.hypergraph.measurements
     count = 1
     for name in names:
         count *= m.outcomes[name]
-        if count > MAX_ASSIGNMENTS:
+        if count > limits.assignments:
             raise ScaleCapError(
-                f"scale cap: more than {MAX_ASSIGNMENTS} global assignments"
+                f"scale cap: more than {limits.assignments} global assignments"
             )
     return [
         dict(zip(names, combo))
@@ -378,7 +369,9 @@ def _global_assignments(m: EmpiricalModel):
     ]
 
 
-def contextual_fraction(m: EmpiricalModel) -> FractionReport:
+def contextual_fraction(
+    m: EmpiricalModel, *, limits: Limits = Limits()
+) -> FractionReport:
     """Largest weight of a global-assignment mixture fitting under the model.
 
     Maximizes the total weight of deterministic global assignments whose
@@ -387,7 +380,7 @@ def contextual_fraction(m: EmpiricalModel) -> FractionReport:
     the two normalized parts recompose the input exactly.
     """
     assert_nondisturbing(m)
-    assignments = _global_assignments(m)
+    assignments = _global_assignments(m, limits)
     program = LinearProgram("max")
     for g in range(len(assignments)):
         program.add_variable(f"w_{g}", objective=1)
@@ -447,7 +440,6 @@ def contextual_fraction(m: EmpiricalModel) -> FractionReport:
 def fraction_via_connection(
     f: GptFragment,
     solution: LpSolution,
-    eqs_effects: Sequence[OperationalEquivalence] | None = None,
     state_index: int = 0,
     measurement_index: int = 0,
 ) -> Fraction:
@@ -462,8 +454,7 @@ def fraction_via_connection(
     """
     if solution.status != "optimal":
         raise ValueError("bridge needs a feasible embedding witness")
-    if eqs_effects is None:
-        eqs_effects = effect_equivalences(f, include_unit=True)
+    eqs_effects = effect_equivalences(f, include_unit=True)
     polytope = response_vertices(f, eqs_effects)
     oc = build_object_complex("effect", f, eqs_effects, view="topological")
     total = _ZERO

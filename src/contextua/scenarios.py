@@ -49,7 +49,10 @@ def _check_model(m: EmpiricalModel) -> EmpiricalModel:
 
 def _check_fragment(f: GptFragment) -> GptFragment:
     report = validate_fragment(f)
-    assert report.ok, f"generated fragment fails validation: {report.violations}"
+    if not report.ok:
+        raise ValueError(
+            f"generated fragment fails validation: {report.violations}"
+        )
     return f
 
 
@@ -335,6 +338,16 @@ def planted_gap_model(gap: Fraction) -> EmpiricalModel:
     uniform = (Fraction(1, 4),) * 4
     skewed = (q / 2, q / 2, (1 - q) / 2, (1 - q) / 2)
     return EmpiricalModel(h, {"a": 2, "b": 2, "c": 2}, (uniform, skewed))
+
+
+def nudged_box(g: Fraction) -> EmpiricalModel:
+    """:func:`pr_box` with context (a1, b1) pulled toward the corner
+    (1, 0, 0, 0) by weight ``g``; it disturbs for every g in (0, 1]."""
+    box = pr_box()
+    corner = (_ONE, _ZERO, _ZERO, _ZERO)
+    tables = list(box.tables)
+    tables[3] = tuple((1 - g) * p + g * c for p, c in zip(tables[3], corner))
+    return EmpiricalModel(box.hypergraph, dict(box.outcomes), tuple(tables))
 
 
 def chsh_quantum(

@@ -117,6 +117,12 @@ def is_acyclic(h: CompatibilityHypergraph) -> bool:
     return reduced.is_empty
 
 
+def h1_certificate(complex_: ddg.SimplicialComplex) -> tuple[str, int]:
+    """The verdict of :func:`generalized_vorobyev` on a bare complex, and b1."""
+    betti = ddg.homology(complex_, 1).betti
+    return ("noncontextual-certified" if betti == 0 else "inconclusive"), betti
+
+
 def generalized_vorobyev(oc: "ObjectComplex") -> str:
     """Cohomological noncontextuality certificate for an object complex.
 
@@ -127,7 +133,4 @@ def generalized_vorobyev(oc: "ObjectComplex") -> str:
     """
     if oc.view != "topological":
         raise ValueError("certificate requires the topological view (no attached disks)")
-    group = ddg.homology(oc.complex, 1)
-    if group.betti == 0:
-        return "noncontextual-certified"
-    return "inconclusive"
+    return h1_certificate(oc.complex)[0]

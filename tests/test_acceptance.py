@@ -23,7 +23,6 @@ from contextua.connection import (
     valuation_from_values,
 )
 from contextua.core_model import (
-    EmpiricalModel,
     GptFragment,
     OperationalEquivalence,
     effect_equivalences,
@@ -55,6 +54,7 @@ from contextua.scenarios import (
     halving_fragment,
     induced_singleton_model,
     noisy_pr_fragment,
+    nudged_box,
     planted_gap_model,
     pr_box,
     pr_box_fragment,
@@ -425,14 +425,6 @@ def test_criterion_09_certificates_never_contradict(corpus_fragments, corpus_lps
 # -- #10 disturbance splits off cleanly --------------------------------------
 
 
-def _perturbed_box_model(g):
-    box = pr_box()
-    corner = (F(1), F(0), F(0), F(0))
-    tables = list(box.tables)
-    tables[3] = tuple((1 - g) * p + g * c for p, c in zip(tables[3], corner))
-    return EmpiricalModel(box.hypergraph, dict(box.outcomes), tuple(tables))
-
-
 def test_criterion_10_disturbance_pipeline(corpus_fragments):
     models = [
         pr_box(),
@@ -442,8 +434,8 @@ def test_criterion_10_disturbance_pipeline(corpus_fragments):
         induced_singleton_model(corpus_fragments["qubit"], 0),
         planted_gap_model(F(1, 8)),
         planted_gap_model(F(1, 4)),
-        _perturbed_box_model(F(1, 8)),
-        _perturbed_box_model(F(1, 2)),
+        nudged_box(F(1, 8)),
+        nudged_box(F(1, 2)),
     ]
     for m in models:
         extension = extend_scenario(m)

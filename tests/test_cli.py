@@ -1,10 +1,13 @@
 """Exit codes, report shapes, determinism, and file round-trips for the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from contextua import noncontextuality as nc_mod
 from contextua.cli import main
 from contextua.core_model import fragment_from_json, model_from_json
 
@@ -15,20 +18,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# splitting b for --extend would create the copy b@1, which already exists
+COLLIDING_MODEL = {
+    "hypergraph": [["a", "b"], ["b", "b@1"]],
+    "outcomes": {"a": 2, "b": 2, "b@1": 2},
+    "tables": {"0": ["1/4", "1/4", "1/4", "1/4"], "1": ["1", "0", "0", "0"]},
+}
+
+
 def emit(capsys, tmp_path, name, *extra):
     code, out, err = run(capsys, "scenarios", "emit", name, *extra)
     assert code == 0, err
     path = tmp_path / f"{name}.json"
     path.write_text(out)
     return str(path)
-
-
-@pytest.fixture(autouse=True)
-def caps_are_restored():
-    before = (nc_mod.MAX_EFFECTS, nc_mod.MAX_EQUIVALENCES, nc_mod.MAX_ASSIGNMENTS)
-    yield
-    after = (nc_mod.MAX_EFFECTS, nc_mod.MAX_EQUIVALENCES, nc_mod.MAX_ASSIGNMENTS)
-    assert after == before
 
 
 def test_scenarios_list_and_every_emit_round_trips(capsys, tmp_path):
@@ -313,15 +316,67 @@ def test_input_error_exit_codes(capsys, tmp_path):
         capsys, "decompose", gbit, "--kind", "transformation", "--values", "1"
     )
     assert code == 2 and "transformation" in err and len(err.splitlines()) == 1
+    collide = tmp_path / "collide.json"
+    collide.write_text(json.dumps(COLLIDING_MODEL))
+    code, _, err = run(capsys, "disturbance", str(collide), "--extend")
+    assert code == 2 and "b@1" in err and len(err.splitlines()) == 1
 
 
-def test_scale_cap_flag_is_scoped(capsys, tmp_path):
-    path = emit(capsys, tmp_path, "pr-box")
-    code, _, err = run(capsys, "fraction", path, "--scale-cap", "8")
+def test_input_errors_survive_optimized_mode(tmp_path):
+    """``python -O`` drops asserts; both checks must still raise."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    collide = tmp_path / "collide.json"
+    collide.write_text(json.dumps(COLLIDING_MODEL))
+    cli = subprocess.run(
+        [sys.executable, "-O", "-m", "contextua.cli", "disturbance",
+         str(collide), "--extend"],
+        capture_output=True, text=True, env=env,
+    )
+    assert cli.returncode == 2 and cli.stdout == ""
+    assert "b@1" in cli.stderr and len(cli.stderr.splitlines()) == 1
+    # a one-dimensional state with unit pairing 2 is not a valid fragment
+    script = (
+        "from fractions import Fraction\n"
+        "from contextua.core_model import GptFragment\n"
+        "from contextua.scenarios import _check_fragment\n"
+        "two, one = (Fraction(2),), (Fraction(1),)\n"
+        "f = GptFragment(1, (two,), (one,), one, ((0,),))\n"
+        "try:\n"
+        "    _check_fragment(f)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    lib = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env,
+    )
+    assert lib.returncode == 0 and "unit pairing 2" in lib.stdout
+
+
+@pytest.mark.parametrize(
+    "command, scenario, cap",
+    [
+        pytest.param(("fraction",), "pr-box", "8", id="fraction"),
+        pytest.param(("nc-check",), "gbit", "3", id="nc-check"),
+        pytest.param(("negativity",), "gbit", "3", id="negativity"),
+        pytest.param(
+            ("disturbance", "--fractions"), "pr-box", "8",
+            id="disturbance-fractions",
+        ),
+    ],
+)
+def test_scale_cap_flag_is_scoped(capsys, tmp_path, command, scenario, cap):
+    path = emit(capsys, tmp_path, scenario)
+    name, *flags = command
+    code, _, err = run(capsys, name, path, *flags, "--scale-cap", cap)
     assert code == 2 and "scale cap exceeded" in err
-    # and the default cap is back in force for the next run (autouse fixture
-    # double-checks the module constants after the test)
-    assert run(capsys, "fraction", path, "--json")[0] == 0
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run(capsys, name, missing, *flags, "--scale-cap", "0")
+    assert code == 2 and "--scale-cap must be positive" in err
+    # the cap holds for that one run: the next run has the default limits
+    assert run(capsys, name, path, *flags, "--json")[0] == 0
 
 
 def test_byte_identical_reports(capsys, tmp_path):

@@ -28,6 +28,7 @@ from contextua.scenarios import (
     chsh_quantum,
     halving_fragment,
     kcbs_quantum,
+    nudged_box,
     planted_gap_model,
     pr_box,
     product_model,
@@ -38,15 +39,6 @@ from contextua.scenarios import (
 from contextua.vorobyev import CompatibilityHypergraph
 
 F = Fraction
-
-
-def perturbed_pr(g):
-    """PR box with its last context pulled toward a deterministic corner."""
-    box = pr_box()
-    tables = list(box.tables)
-    det = (F(1), F(0), F(0), F(0))
-    tables[3] = tuple((1 - g) * p + g * d for p, d in zip(tables[3], det))
-    return EmpiricalModel(box.hypergraph, dict(box.outcomes), tuple(tables))
 
 
 def recompose(report, model):
@@ -139,7 +131,7 @@ def test_extension_iterates_until_clean():
 
 def test_extension_bounds_the_contextual_fraction():
     for g in (F(1, 8), F(1, 4)):
-        m = perturbed_pr(g)
+        m = nudged_box(g)
         report = fractions_with_disturbance(m)
         ext = extend_scenario(m)
         assert contextual_fraction(ext.model).cf <= report.cf + report.df
@@ -270,7 +262,7 @@ def test_planted_family_df_equals_the_gap():
 def test_perturbed_pr_family_frozen_values():
     previous_cf = F(2)
     for g in (F(0), F(1, 8), F(1, 4), F(1, 2)):
-        m = perturbed_pr(g)
+        m = nudged_box(g)
         report = fractions_with_disturbance(m)
         assert report.df == g / 2
         assert report.cf == 1 - g

@@ -17,8 +17,10 @@ from contextua.core_model import (
     probability,
     state_equivalences,
 )
+from contextua.disturbance import fractions_with_disturbance
 from contextua.noncontextuality import (
     DisturbingModelError,
+    Limits,
     ScaleCapError,
     assert_nondisturbing,
     contextual_fraction,
@@ -487,6 +489,16 @@ def test_fraction_scale_cap():
     m = EmpiricalModel(h, {n: 2 for n in names}, (table,))
     with pytest.raises(ScaleCapError):
         contextual_fraction(m)
+
+
+def test_limits_are_per_call():
+    with pytest.raises(ScaleCapError):
+        response_vertices(gbit(), limits=Limits(effects=3))
+    assert not response_vertices(gbit()).is_empty
+    for analysis in (contextual_fraction, fractions_with_disturbance):
+        with pytest.raises(ScaleCapError):
+            analysis(pr_box(), limits=Limits(assignments=8))
+        assert analysis(pr_box()).cf == 1
 
 
 # -- cross-test equivalence and the witness bridge ---------------------------
