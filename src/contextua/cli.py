@@ -356,7 +356,7 @@ def _cmd_scenarios(args):
         obj = factory(**params)
     except TypeError as exc:
         raise _InputError(f"bad parameters for {args.name}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # Fraction(inf) overflows
         raise _InputError(f"bad parameter value for {args.name}: {exc}") from exc
     serializer = {
         "fragment": fragment_to_json,
@@ -426,6 +426,8 @@ _SWEEP_DEFAULTS = {
 
 
 def _cmd_sweep(args):
+    if args.workers < 1:
+        raise _InputError(f"--workers must be positive, got {args.workers}")
     family = args.family
     points_text = args.points or _SWEEP_DEFAULTS[family]
     points = [tok.strip() for tok in points_text.split(",") if tok.strip()]
@@ -439,8 +441,9 @@ def _cmd_sweep(args):
         if family == "disturbance-gap" and not 0 <= value <= Fraction(1, 2):
             raise _InputError(f"disturbance gap must be in [0,1/2], got {tok}")
     jobs = [(family, tok) for tok in points]
-    if args.workers > 1:
-        with Pool(args.workers) as pool:
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.starmap(_sweep_point, jobs)
     else:
         rows = [_sweep_point(*job) for job in jobs]

@@ -159,7 +159,8 @@ def build_object_complex(
 
     complex_ = ddg.SimplicialComplex(maximal)
     for _, loop in loops:
-        assert ddg.boundary(complex_, loop).is_zero, "dependence loop must be a cycle"
+        if not ddg.boundary(complex_, loop).is_zero:
+            raise AssertionError("dependence loop must be a cycle")
     return ObjectComplex(
         kind=kind,
         complex=complex_,
@@ -253,7 +254,8 @@ def _potential(
     free = [i for i, v in enumerate(vertices) if v not in pinned]
     system = [[lap[i][j] for j in free] for i in free]
     solution = linalg.solve(system, [rhs[i] for i in free])
-    assert solution is not None, "reduced Laplacian system must be solvable"
+    if solution is None:
+        raise AssertionError("reduced Laplacian system must be solvable")
     return ddg.Cochain(0, {(vertices[i],): x for i, x in zip(free, solution)})
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Mapping
 
 from . import ddg
@@ -141,19 +140,21 @@ def fractions_with_disturbance(
             {**{var: 1 for var in row}, "t": -1}, "=", 0
         )
     for i, j, shared in context_overlaps(h):
-        for key in product(*(range(model.outcomes[m]) for m in shared)):
+        for key in model.assignments(shared):
             coeffs: dict[str, Fraction] = {}
             for ctx_index, sign in ((i, 1), (j, -1)):
                 context = h.contexts[ctx_index]
                 positions = [context.index(name) for name in shared]
-                ranges = [range(model.outcomes[m]) for m in context]
-                for flat, assignment in enumerate(product(*ranges)):
+                for flat, assignment in enumerate(model.assignments(context)):
                     if tuple(assignment[p] for p in positions) == key:
                         var = names[ctx_index][flat]
                         coeffs[var] = coeffs.get(var, Fraction(0)) + sign
             program.add_constraint(coeffs, "=", 0)
     solution = program.solve()
-    assert solution.status == "optimal", solution.status
+    if solution.status != "optimal":
+        raise AssertionError(
+            f"the zero sub-mass is feasible and bounded, got {solution.status}"
+        )
     t = solution.assignment.get("t", Fraction(0))
     common = tuple(
         tuple(solution.assignment.get(var, Fraction(0)) for var in row)

@@ -146,7 +146,8 @@ class LinearProgram:
                 eq_matrix=eq_matrix,
                 eq_rhs=eq_rhs,
             )
-            assert solution.certificate_checks(), "Farkas certificate failed self-check"
+            if not solution.certificate_checks():
+                raise AssertionError("Farkas certificate failed self-check")
             return solution
 
         # pivot artificials out of the basis; rows with no real pivot are

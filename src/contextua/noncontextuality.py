@@ -75,68 +75,52 @@ class ResponsePolytope:
         return self.status == "empty"
 
 
-def _incidence(point, constraints):
-    active = set()
-    for idx, (coeffs, beta) in enumerate(constraints):
-        if sum(c * x for c, x in zip(coeffs, point)) == beta:
-            active.add(idx)
-    return frozenset(active)
-
-
 def _cut_vertices(dim, box, extras):
     """Vertex set of {t : box, and a.t <= beta for (a, beta) in extras}.
 
-    Incremental double description seeded on the bounding box; vertex
-    incidence is rebuilt from scratch after every insertion, which keeps
-    the combinatorial adjacency test exact under degeneracy.
+    Incremental double description seeded on the bounding box.  Each
+    vertex carries its incidence (the labels of the constraints it lies
+    on: 2k + b for the box bounds, then one per cut) forward: a surviving
+    vertex gains at most the current cut, and a new vertex on the edge
+    between i and j meets exactly the constraints the two share plus the
+    cut.  Two vertices are adjacent when no third vertex lies on every
+    constraint they share, which stays exact under degeneracy.
     """
-    constraints = []
-    for k, (lo, hi) in enumerate(box):
-        unit = tuple(_ONE if j == k else _ZERO for j in range(dim))
-        constraints.append((unit, hi))
-        constraints.append((tuple(-x for x in unit), -lo))
-    corners = []
+    points = []
+    zeros = []
     for bits in product((0, 1), repeat=dim):
-        corners.append(
-            tuple(box[k][1] if bits[k] else box[k][0] for k in range(dim))
-        )
-    points = corners
-    seen = len(constraints)
-    incidence = [_incidence(p, constraints) for p in points]
-    for a, beta in extras:
-        constraints.append((a, beta))
-        seen += 1
+        points.append(tuple(box[k][b] for k, b in enumerate(bits)))
+        zeros.append(frozenset(2 * k + b for k, b in enumerate(bits)))
+    for label, (a, beta) in enumerate(extras, start=2 * dim):
         margins = [sum(c * x for c, x in zip(a, p)) - beta for p in points]
         keep = [i for i, v in enumerate(margins) if v < 0]
         on = [i for i, v in enumerate(margins) if v == 0]
         drop = [i for i, v in enumerate(margins) if v > 0]
         if not keep and not on:
             return []
-        if not drop:
-            incidence = [_incidence(p, constraints) for p in points]
-            continue
-        survivors = {points[i] for i in keep + on}
+        for i in on:
+            zeros[i] |= {label}
+        new_points = []
+        new_zeros = []
         for i in keep:
             for j in drop:
-                shared = incidence[i] & incidence[j]
-                blocked = any(
-                    w not in (i, j) and shared <= incidence[w]
+                shared = zeros[i] & zeros[j]
+                if any(
+                    w != i and w != j and shared <= zeros[w]
                     for w in range(len(points))
-                )
-                if blocked:
+                ):
                     continue
-                num = beta - sum(c * x for c, x in zip(a, points[i]))
-                den = margins[j] - margins[i]
-                lam = num / den if den else None
-                assert lam is not None and 0 < lam < 1
-                survivors.add(
+                lam = margins[i] / (margins[i] - margins[j])
+                new_points.append(
                     tuple(
                         x + lam * (y - x)
                         for x, y in zip(points[i], points[j])
                     )
                 )
-        points = sorted(survivors)
-        incidence = [_incidence(p, constraints) for p in points]
+                new_zeros.append(shared | {label})
+        survivors = keep + on
+        points = [points[i] for i in survivors] + new_points
+        zeros = [zeros[i] for i in survivors] + new_zeros
     return points
 
 
@@ -196,12 +180,6 @@ def response_vertices(
         return ResponsePolytope("empty", (), tuple(constraints))
     basis = linalg.nullspace(matrix)
     dim = len(basis)
-    if dim == 0:
-        ok = all(_ZERO <= x <= _ONE for x in base)
-        vertices = (tuple(base),) if ok else ()
-        return ResponsePolytope(
-            "ok" if ok else "empty", vertices, tuple(constraints)
-        )
 
     # per basis vector, a coordinate owned by it alone fixes a bound on t_k
     box = []
@@ -349,9 +327,11 @@ class FractionReport:
 
     def __post_init__(self):
         total = self.ncf + self.cf + self.df
-        assert total == 1, f"fractions sum to {total}"
+        if total != 1:
+            raise AssertionError(f"fractions sum to {total}")
         for part in (self.ncf, self.cf, self.df):
-            assert 0 <= part <= 1
+            if not 0 <= part <= 1:
+                raise AssertionError(f"fraction {part} lies outside [0, 1]")
 
 
 def _global_assignments(m: EmpiricalModel, limits: Limits):
@@ -381,45 +361,42 @@ def contextual_fraction(
     """
     assert_nondisturbing(m)
     assignments = _global_assignments(m, limits)
+    h = m.hypergraph
+    # restrictions[i][g]: the entry of context i that assignment g lands on
+    restrictions = []
+    for context in h.contexts:
+        column = []
+        for assignment in assignments:
+            flat = 0
+            for x in context:
+                flat = flat * m.outcomes[x] + assignment[x]
+            column.append(flat)
+        restrictions.append(column)
     program = LinearProgram("max")
     for g in range(len(assignments)):
         program.add_variable(f"w_{g}", objective=1)
-    h = m.hypergraph
-    for i, context in enumerate(h.contexts):
-        for local in m.assignments(context):
-            row = {
-                f"w_{g}": _ONE
-                for g, assignment in enumerate(assignments)
-                if all(assignment[x] == o for x, o in zip(context, local))
-            }
-            if row:
-                program.add_constraint(
-                    row, "<=", m.table_value(i, local)
-                )
+    for table, column in zip(m.tables, restrictions):
+        rows: list[dict[str, Fraction]] = [{} for _ in table]
+        for g, flat in enumerate(column):
+            rows[flat][f"w_{g}"] = _ONE
+        for row, value in zip(rows, table):
+            program.add_constraint(row, "<=", value)
     solution = program.solve()
-    assert solution.status == "optimal"
+    if solution.status != "optimal":
+        raise AssertionError(
+            "the zero mixture is feasible and the total weight is bounded"
+        )
     ncf = solution.objective
     cf = 1 - ncf
 
     p_nc = p_sc = None
     if ncf > 0:
         tables = []
-        for i, context in enumerate(h.contexts):
-            table = []
-            for local in m.assignments(context):
-                mass = sum(
-                    (
-                        solution.assignment[f"w_{g}"]
-                        for g, assignment in enumerate(assignments)
-                        if all(
-                            assignment[x] == o
-                            for x, o in zip(context, local)
-                        )
-                    ),
-                    _ZERO,
-                )
-                table.append(mass / ncf)
-            tables.append(tuple(table))
+        for table, column in zip(m.tables, restrictions):
+            mass = [_ZERO] * len(table)
+            for g, flat in enumerate(column):
+                mass[flat] += solution.assignment[f"w_{g}"]
+            tables.append(tuple(x / ncf for x in mass))
         p_nc = EmpiricalModel(h, dict(m.outcomes), tuple(tables))
     if cf > 0:
         tables = []

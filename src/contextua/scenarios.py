@@ -288,7 +288,8 @@ def _two_party_model(correlators: Sequence[Fraction]) -> EmpiricalModel:
     """Uniform-marginal two-party model from four exact correlators."""
     tables = []
     for c in correlators:
-        assert abs(c) <= 1, f"correlator {c} out of range"
+        if abs(c) > 1:
+            raise AssertionError(f"correlator {c} out of range")
         agree = (1 + c) / 4
         differ = (1 - c) / 4
         tables.append((agree, differ, differ, agree))
@@ -529,7 +530,8 @@ def random_acyclic_hypergraph(
         contexts.append(shared + take(min(rng.randint(1, 2), cap - fresh)))
     measurements = tuple(f"m{i}" for i in range(fresh))
     h = CompatibilityHypergraph(measurements, tuple(contexts))
-    assert is_acyclic(h)
+    if not is_acyclic(h):
+        raise AssertionError("join-tree growth must give an acyclic hypergraph")
     return h
 
 

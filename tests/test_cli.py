@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from contextua import cli
 from contextua.cli import main
 from contextua.core_model import fragment_from_json, model_from_json
 
@@ -261,6 +262,38 @@ def test_sweep_csv_and_worker_determinism(capsys, tmp_path):
     assert run(capsys, "sweep", "disturbance-gap", "--points", "2")[0] == 2
     assert run(capsys, "sweep", "pr-noise", "--points", "3/2")[0] == 2
     assert run(capsys, "sweep", "disturbance-gap", "--points", "x")[0] == 2
+    for workers in ("0", "-1"):
+        code, out, err = run(capsys, "sweep", "disturbance-gap", "--workers", workers)
+        assert code == 2 and out == "" and "--workers" in err
+        assert len(err.splitlines()) == 1
+
+
+def test_sweep_pool_has_one_process_per_point_at_most(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs the jobs in this process and records the requested size."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs):
+            return [fn(*job) for job in jobs]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    argv = ("sweep", "disturbance-gap", "--points", "0,1/4", "--json")
+    code, serial, _ = run(capsys, *argv)
+    assert code == 0 and sizes == []
+    code, pooled, _ = run(capsys, *argv, "--workers", "8")
+    assert code == 0 and pooled == serial and sizes == [2]
+    code, _, _ = run(capsys, "sweep", "disturbance-gap", "--points", "0", "--workers", "8")
+    assert code == 0 and sizes == [2]  # one point runs in this process
 
 
 def test_pr_noise_sweep_row(capsys):
@@ -320,10 +353,14 @@ def test_input_error_exit_codes(capsys, tmp_path):
     collide.write_text(json.dumps(COLLIDING_MODEL))
     code, _, err = run(capsys, "disturbance", str(collide), "--extend")
     assert code == 2 and "b@1" in err and len(err.splitlines()) == 1
+    code, _, err = run(
+        capsys, "scenarios", "emit", "noisy-pr-fragment", "--param", "weight=inf"
+    )
+    assert code == 2 and "noisy-pr-fragment" in err and len(err.splitlines()) == 1
 
 
 def test_input_errors_survive_optimized_mode(tmp_path):
-    """``python -O`` drops asserts; both checks must still raise."""
+    """``python -O`` drops asserts; every check here must still raise."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
@@ -347,12 +384,18 @@ def test_input_errors_survive_optimized_mode(tmp_path):
         "    _check_fragment(f)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
+        "from contextua.noncontextuality import FractionReport\n"
+        "try:\n"
+        "    FractionReport(Fraction(1), Fraction(1), Fraction(0), None, None)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
     )
     lib = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env,
     )
     assert lib.returncode == 0 and "unit pairing 2" in lib.stdout
+    assert "fractions sum to 2" in lib.stdout
 
 
 @pytest.mark.parametrize(

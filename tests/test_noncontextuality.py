@@ -147,7 +147,10 @@ def _brute_force_vertices(f, eqs):
 
 
 @pytest.mark.parametrize(
-    "fragment", [gbit(), halving_fragment(), qubit_fragment()], ids=["gbit", "halving", "qubit"]
+    "fragment",
+    [gbit(), halving_fragment(), qubit_fragment()]
+    + [random_fragment(Random(k)) for k in (0, 6, 9, 10)],
+    ids=["gbit", "halving", "qubit", "random0", "random6", "random9", "random10"],
 )
 def test_vertices_match_brute_force_enumeration(fragment):
     eqs = effect_equivalences(fragment, include_unit=True)
@@ -194,6 +197,42 @@ def test_empty_verdicts_cover_both_failure_modes():
     outside = [OperationalEquivalence("effect", {0: Fraction(1), unit: Fraction(-2)})]
     polytope = response_vertices(f, outside)
     assert polytope.is_empty  # equalities consistent, box unreachable
+
+    # nullity 0: e0 = 1 and e2 = 1/2 leave exactly one point, inside the box
+    pinned = [
+        OperationalEquivalence("effect", {0: Fraction(1), unit: Fraction(-1)}),
+        OperationalEquivalence("effect", {2: Fraction(1), unit: Fraction(-1, 2)}),
+    ]
+    polytope = response_vertices(f, pinned)
+    half = Fraction(1, 2)
+    assert polytope.status == "ok"
+    assert polytope.vertices == ((Fraction(1), Fraction(0), half, half),)
+
+
+def test_pr_fragment_vertices_are_the_no_signalling_boxes():
+    """Effect 4 * (2x + y) + 2i + j holds p(i, j | x, y): the valuations of
+    the PR fragment are the 16 deterministic and 8 extremal correlated boxes."""
+    bits = list(product(range(2), repeat=2))
+    deterministic = {
+        tuple(
+            Fraction(int(i == a[x] and j == b[y]))
+            for x, y in bits
+            for i, j in bits
+        )
+        for a in bits
+        for b in bits
+    }
+    correlated = {
+        tuple(
+            Fraction(1, 2) if i ^ j == x * y ^ alpha * x ^ beta * y ^ gamma else Fraction(0)
+            for x, y in bits
+            for i, j in bits
+        )
+        for alpha, beta, gamma in product(range(2), repeat=3)
+    }
+    assert len(deterministic) == 16 and len(correlated) == 8
+    expected = tuple(sorted(deterministic | correlated))
+    assert response_vertices(pr_box_fragment()).vertices == expected
 
 
 def test_scale_caps_raise_early():
