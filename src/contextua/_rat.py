@@ -1,30 +1,42 @@
 """Exact rational helpers shared across the package.
 
-All public interfaces speak :class:`fractions.Fraction`.  The heavy elimination
-loops can run on ``gmpy2.mpq`` internally (a drop-in rational type with much
-faster normalization); ``lift``/``lower`` convert at the boundary and fall back
-to plain Fractions when gmpy2 is unavailable.
+Every rational in the package is a :class:`fractions.Fraction`.  These
+helpers sit at the boundary: parsing and printing rational text, and snapping
+floats from numeric scenario generation to bounded-denominator rationals.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _mpq
-
-    HAVE_GMPY2 = True
-except ImportError:  # gmpy2 is optional: the `fast` extra
-    _mpq = None
-    HAVE_GMPY2 = False
 
 #: Default denominator bound used when snapping floats to rationals.
 DEFAULT_DENOMINATOR_BOUND = 10**6
 
+#: Largest decimal exponent magnitude :func:`parse_rational` accepts: CPython's
+#: default limit on int-string digits.  ``Fraction`` expands the exponent into
+#: a power of ten: on CPython 3.11 that took 10 s for an exponent of 10**7 and
+#: over two minutes for 10**8.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"``, ``"p"`` or a decimal literal into an exact Fraction."""
-    return Fraction(str(text).strip())
+    """Parse ``"p/q"``, ``"p"`` or a decimal literal into an exact Fraction.
+
+    Raises ValueError on a malformed literal, a zero denominator, and a
+    decimal exponent whose magnitude exceeds :data:`MAX_DECIMAL_EXPONENT`.
+    """
+    text = str(text).strip()
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT} in a rational literal"
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in a rational literal: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -39,29 +51,3 @@ def rationalize(value: float, max_denominator: int = DEFAULT_DENOMINATOR_BOUND) 
     noise sweeps) hands data to the exact core; everything downstream is exact.
     """
     return Fraction(value).limit_denominator(max_denominator)
-
-
-def lift(value):
-    """Convert a rational to the fast internal scalar type."""
-    if HAVE_GMPY2:
-        if isinstance(value, Fraction):
-            return _mpq(value.numerator, value.denominator)
-        return _mpq(value)
-    return Fraction(value)
-
-
-def lower(value) -> Fraction:
-    """Convert an internal scalar back to a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(int(value.numerator), int(value.denominator))
-
-
-def zero():
-    """The internal scalar zero."""
-    return _mpq(0) if HAVE_GMPY2 else Fraction(0)
-
-
-def one():
-    """The internal scalar one."""
-    return _mpq(1) if HAVE_GMPY2 else Fraction(1)

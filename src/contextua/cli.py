@@ -86,7 +86,8 @@ def _load(parser_fn, path: str, what: str):
         return parser_fn(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"malformed JSON in {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        # OverflowError: a JSON number such as 1e400 loads as a float inf
         raise _InputError(f"bad {what} file {path}: {exc}") from exc
 
 
@@ -103,7 +104,7 @@ def _load_hypergraph(path: str) -> CompatibilityHypergraph:
             tuple(doc["measurements"]),
             tuple(tuple(c) for c in doc["contexts"]),
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _InputError(f"bad hypergraph file {path}: {exc}") from exc
 
 
@@ -120,7 +121,7 @@ def _parse_values(text: str, expected: int) -> list[Fraction]:
 
 
 def _coerce_param(raw: str):
-    for parse in (int, Fraction, float):
+    for parse in (int, parse_rational, float):
         try:
             return parse(raw)
         except ValueError:

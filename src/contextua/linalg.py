@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals, plus an integer Smith normal form.
 
 Matrices are plain ``list[list[Fraction]]`` (row major) and vectors are
-``list[Fraction]``.  The elimination kernels lift entries to the fast internal
-rational type from :mod:`contextua._rat`, so the public API stays on
-``fractions.Fraction`` while the inner loops run on gmpy2 when present.
+``list[Fraction]``; ``int`` entries are accepted too.  One elimination kernel
+serves ``rref``, ``rank``, ``nullspace`` and ``solve``: each row is scaled to
+integers and reduced fraction-free (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968), so
+the inner loop runs on Python ints and each answer divides by one common
+denominator at the end.
 
 Nothing here is approximate: every pivot, rank and nullspace vector is exact.
 """
@@ -11,24 +14,11 @@ Nothing here is approximate: every pivot, rank and nullspace vector is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
-
-from . import _rat
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
-
-
-def _lift_matrix(matrix: Sequence[Sequence[Fraction]]):
-    return [[_rat.lift(x) for x in row] for row in matrix]
-
-
-def _lower_matrix(matrix) -> Matrix:
-    return [[_rat.lower(x) for x in row] for row in matrix]
-
-
-def _lower_vector(vec) -> Vector:
-    return [_rat.lower(x) for x in vec]
 
 
 def transpose(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -39,45 +29,66 @@ def mat_vec(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Ve
     return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in matrix]
 
 
-def _rref_internal(m):
-    """In-place RREF on lifted rows; returns pivot column list."""
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
+def _integer_rows(matrix) -> list[list[int]]:
+    """Each row times the lcm of its denominators.
+
+    Scaling a row by a nonzero constant leaves the RREF, the rank, the kernel
+    and the solution set of an augmented system unchanged.
+    """
+    rows = []
+    for row in matrix:
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return rows
+
+
+def _rref_internal(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place.
+
+    Returns ``(pivots, d)``: afterwards row i of ``m`` is d times row i of the
+    RREF, so every pivot entry equals d.  Each pivot p replaces every other
+    row x by ``(p*x - a*y) // prev``, where y is the pivot row, a is x's entry
+    in the pivot column and prev the previous pivot (1 before the first).
+    The division is exact: by Sylvester's identity every entry stays a minor
+    of the row-permuted integer input, hence an integer.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
     pivots: list[int] = []
+    prev = 1
     row = 0
     for col in range(ncols):
         if row >= nrows:
             break
-        pivot_row = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(row, nrows) if m[r][col]), None)
         if pivot_row is None:
             continue
         m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
+        top = m[row]
+        p = top[col]
         for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+            if r == row:
+                continue
+            a = m[r][col]
+            if a:
+                m[r] = [(p * x - a * y) // prev for x, y in zip(m[r], top)]
+            elif p != prev:
+                m[r] = [p * x // prev for x in m[r]]
+        prev = p
         pivots.append(col)
         row += 1
-    return pivots
+    return pivots, prev
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form and the pivot column indices."""
-    m = _lift_matrix(matrix)
-    pivots = _rref_internal(m)
-    return _lower_matrix(m), pivots
+    m = _integer_rows(matrix)
+    pivots, d = _rref_internal(m)
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    m = _lift_matrix(matrix)
-    return len(_rref_internal(m))
+    return len(_rref_internal(_integer_rows(matrix))[0])
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
@@ -89,23 +100,22 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """
     if not matrix:
         return []
-    m = _lift_matrix(matrix)
-    pivots = _rref_internal(m)
+    m = _integer_rows(matrix)
+    pivots, d = _rref_internal(m)
     ncols = len(matrix[0])
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Vector] = []
-    for free in free_cols:
-        vec = [_rat.zero() for _ in range(ncols)]
-        vec[free] = _rat.one()
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        # d times the RREF kernel vector: d at the free column, -m[i][free]
+        # at pivot column i; scaling by its first nonzero entry cancels d
+        vec = [0] * ncols
+        vec[free] = d
         for i, pcol in enumerate(pivots):
-            if m[i][free] != 0:
-                vec[pcol] = -m[i][free]
-        first = next(x for x in vec if x != 0)
-        if first != 1:
-            inv = 1 / first
-            vec = [x * inv for x in vec]
-        basis.append(_lower_vector(vec))
+            vec[pcol] = -m[i][free]
+        first = next(x for x in vec if x)
+        basis.append([Fraction(x, first) for x in vec])
     return basis
 
 
@@ -117,14 +127,14 @@ def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vect
     if not matrix:
         return [] if all(b == 0 for b in rhs) else None
     ncols = len(matrix[0])
-    aug = _lift_matrix([list(row) + [b] for row, b in zip(matrix, rhs)])
-    pivots = _rref_internal(aug)
+    aug = _integer_rows([*row, b] for row, b in zip(matrix, rhs))
+    pivots, d = _rref_internal(aug)
     if pivots and pivots[-1] == ncols:
         return None
-    x = [_rat.zero() for _ in range(ncols)]
+    x = [Fraction(0)] * ncols
     for i, pcol in enumerate(pivots):
-        x[pcol] = aug[i][ncols]
-    return _lower_vector(x)
+        x[pcol] = Fraction(aug[i][ncols], d)
+    return x
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:

@@ -3,8 +3,7 @@
 All variables are nonnegative; callers split free variables themselves.
 Infeasible problems come back with a Farkas certificate against the stored
 sign-fixed standard form: certificate . matrix >= 0 componentwise while
-certificate . rhs < 0, all exact.  Internally the tableau runs on gmpy2
-rationals when available, else stdlib Fractions.
+certificate . rhs < 0, all exact.  The tableau holds stdlib Fractions.
 """
 
 from __future__ import annotations
@@ -13,10 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._rat import lift, lower
-
-_ZERO = lift(0)
-_ONE = lift(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -73,7 +70,7 @@ class LinearProgram:
             raise ValueError(f"duplicate variable {name!r}")
         self._index[name] = len(self._names)
         self._names.append(name)
-        self._objective.append(lift(Fraction(objective)))
+        self._objective.append(Fraction(objective))
         for row in self._rows:
             row.append(_ZERO)
         return name
@@ -85,10 +82,10 @@ class LinearProgram:
         for name, c in coeffs.items():
             if name not in self._index:
                 raise ValueError(f"constraint references unknown variable {name!r}")
-            row[self._index[name]] = lift(Fraction(c))
+            row[self._index[name]] = Fraction(c)
         self._rows.append(row)
         self._ops.append(op)
-        self._rhs.append(lift(Fraction(rhs)))
+        self._rhs.append(Fraction(rhs))
 
     # ------------------------------------------------------------------
     def _standard_form(self):
@@ -114,8 +111,8 @@ class LinearProgram:
     def solve(self) -> LpSolution:
         rows, rhs, width = self._standard_form()
         m = len(rows)
-        eq_matrix = tuple(tuple(lower(x) for x in row) for row in rows)
-        eq_rhs = tuple(lower(b) for b in rhs)
+        eq_matrix = tuple(map(tuple, rows))
+        eq_rhs = tuple(rhs)
 
         # tableau: m constraint rows + objective row; columns = width originals
         # + m artificials + rhs
@@ -135,10 +132,7 @@ class LinearProgram:
 
         phase1_value = -tableau[m][-1]
         if phase1_value > 0:
-            multipliers = tuple(
-                lower(_ONE - tableau[m][width + i]) for i in range(m)
-            )
-            cert = tuple(-y for y in multipliers)
+            cert = tuple(tableau[m][width + i] - 1 for i in range(m))
             solution = LpSolution(
                 status="infeasible",
                 objective=None,
@@ -193,11 +187,9 @@ class LinearProgram:
         values = [_ZERO] * width
         for i in range(m):
             values[basis[i]] = tableau[i][-1]
-        assignment = {
-            name: lower(values[j]) for j, name in enumerate(self._names)
-        }
+        assignment = dict(zip(self._names, values))
         minimized = -tableau[m][-1]
-        objective = lower(-minimized if self.sense == "max" else minimized)
+        objective = -minimized if self.sense == "max" else minimized
         return LpSolution(
             status="optimal",
             objective=objective,

@@ -232,7 +232,9 @@ def _embedding_program(f: GptFragment, signed: bool, limits: Limits):
         )
     report = validate_fragment(f)
     if not report.ok:
-        raise ValueError(f"fragment fails validation: {report.violations}")
+        raise ValueError(
+            f"fragment fails validation: {report.structural + report.violations}"
+        )
     eqs_states = state_equivalences(f)
     polytope = response_vertices(f, limits=limits)
     if polytope.is_empty:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
 
-from ._rat import rationalize
+from ._rat import parse_rational, rationalize
 from .core_model import (
     EmpiricalModel,
     GptFragment,
@@ -51,7 +51,8 @@ def _check_fragment(f: GptFragment) -> GptFragment:
     report = validate_fragment(f)
     if not report.ok:
         raise ValueError(
-            f"generated fragment fails validation: {report.violations}"
+            "generated fragment fails validation: "
+            f"{report.structural + report.violations}"
         )
     return f
 
@@ -253,9 +254,12 @@ def noisy_pr_fragment(weight: Fraction | str | float = Fraction(3, 4)) -> GptFra
     ``weight`` is the surviving extremal fraction; the uniform box is the
     correlator-free state (1, 0, ..., 0).  Mixing each state with the same
     fixed vector preserves the state dependence because its coefficients
-    sum to zero.
+    sum to zero.  Exact weights (rationals and rational text) stay exact;
+    only a float is snapped to a denominator of at most 10**6.
     """
-    w = Fraction(weight).limit_denominator(10**6)
+    if isinstance(weight, str):
+        weight = parse_rational(weight)
+    w = rationalize(weight) if isinstance(weight, float) else Fraction(weight)
     if not 0 <= w <= 1:
         raise ValueError(f"weight must lie in [0, 1], got {w}")
     base = pr_box_fragment()

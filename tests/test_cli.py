@@ -99,6 +99,16 @@ def test_nc_check_and_negativity(capsys, tmp_path):
     code, out, _ = run(capsys, "negativity", bit, "--json", "--strict")
     assert code == 0 and json.loads(out)["negativity"] == "0"
 
+    # a structural error reaches the message, not only the invariant violations
+    doc = json.loads(open(bit).read())
+    doc["measurements"] = [[0, 7]]
+    dangling = tmp_path / "dangling.json"
+    dangling.write_text(json.dumps(doc))
+    for command in ("nc-check", "negativity"):
+        code, _, err = run(capsys, command, str(dangling))
+        assert code == 2 and len(err.splitlines()) == 1
+        assert "measurement 0 references missing effect 7" in err
+
 
 def test_equivalences_report_frozen_halving_rows(capsys, tmp_path):
     path = emit(capsys, tmp_path, "halving")
@@ -353,10 +363,27 @@ def test_input_error_exit_codes(capsys, tmp_path):
     collide.write_text(json.dumps(COLLIDING_MODEL))
     code, _, err = run(capsys, "disturbance", str(collide), "--extend")
     assert code == 2 and "b@1" in err and len(err.splitlines()) == 1
-    code, _, err = run(
-        capsys, "scenarios", "emit", "noisy-pr-fragment", "--param", "weight=inf"
-    )
-    assert code == 2 and "noisy-pr-fragment" in err and len(err.splitlines()) == 1
+    for weight in ("inf", "1/0"):
+        code, _, err = run(
+            capsys, "scenarios", "emit", "noisy-pr-fragment", "--param", f"weight={weight}"
+        )
+        assert code == 2 and "noisy-pr-fragment" in err and len(err.splitlines()) == 1
+
+    # a JSON number beyond float range loads as inf, which no rational equals
+    bit = emit(capsys, tmp_path, "classical-bit")
+    huge = tmp_path / "huge.json"
+    huge.write_text(open(bit).read().replace('"effects": [[1, 0]', '"effects": [[1e400, 0]'))
+    code, _, err = run(capsys, "validate", str(huge))
+    assert code == 2 and "bad fragment file" in err and len(err.splitlines()) == 1
+    huge.write_text(open(planted).read().replace('"1/8"', "1e400", 1))
+    code, _, err = run(capsys, "fraction", str(huge))
+    assert code == 2 and "bad model file" in err and len(err.splitlines()) == 1
+    # a decimal exponent past the bound is refused before it is expanded,
+    # and so is a zero denominator
+    for values in ("1e100000000", "1/0"):
+        code, _, err = run(capsys, "decompose", gbit, "--values", values)
+        assert code == 2 and "bad --values entry" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_input_errors_survive_optimized_mode(tmp_path):

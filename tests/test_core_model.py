@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextua._rat import parse_rational
 from contextua.core_model import (
     EmpiricalModel,
     GptFragment,
@@ -353,6 +354,18 @@ def test_fragment_json_roundtrip_and_rational_format():
     assert fragment_from_json(text) == f
     # integers are accepted on the way in
     assert fragment_from_json(text.replace('"1/3"', '"1/3"')) == f
+
+
+def test_parse_rational_bounds_the_decimal_exponent():
+    assert parse_rational("-1/4") == F(-1, 4)
+    assert parse_rational(" 2.5e-3 ") == F(1, 400)
+    assert parse_rational("1e4300") == 10**4300
+    # each would expand to a power of ten with millions of digits
+    for text in ("1e100000000", "1E-4301", "7.5e+10000000", "1e100_000_000"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 def pr_box_model():

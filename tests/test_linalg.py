@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from contextua import linalg
 
+# denominators as large as the Born-rule snapping of qubit_fragment produces
 rationals = st.fractions(
-    min_value=-5, max_value=5, max_denominator=6
+    min_value=-5, max_value=5, max_denominator=10**6
 )
 
 
-def rational_matrix(max_rows=5, max_cols=5):
+def rational_matrix(max_rows=8, max_cols=8):
     return st.integers(1, max_rows).flatmap(
         lambda m: st.integers(1, max_cols).flatmap(
             lambda n: st.lists(
@@ -29,16 +30,37 @@ def rational_matrix(max_rows=5, max_cols=5):
     )
 
 
+@st.composite
+def sign_matrix(draw, max_rows=8, max_cols=8):
+    """Boundary-like ``int`` rows over {-1, 0, 1}, with some columns zeroed
+    and some rows repeated: pivot columns get skipped, and rows cancel."""
+    n = draw(st.integers(1, max_cols))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+            min_size=1,
+            max_size=max_rows,
+        )
+    )
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    rows = [[0 if j in zero_cols else x for j, x in enumerate(row)] for row in rows]
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows + repeats))
+
+
+matrices = st.one_of(rational_matrix(), sign_matrix())
+
+
 def to_sympy(m):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
 
 
-@given(rational_matrix())
+@given(matrices)
 def test_rank_matches_sympy(m):
     assert linalg.rank(m) == to_sympy(m).rank()
 
 
-@given(rational_matrix())
+@given(matrices)
 def test_rref_matches_sympy(m):
     ours, pivots = linalg.rref(m)
     ref, ref_pivots = to_sympy(m).rref()
@@ -46,10 +68,13 @@ def test_rref_matches_sympy(m):
     assert to_sympy(ours) == ref
 
 
-@given(rational_matrix())
+@given(matrices)
 def test_nullspace_is_exact_kernel_basis(m):
     basis = linalg.nullspace(m)
     ncols = len(m[0])
+    # sympy's basis, one vector per free column, scaled to a leading +1
+    ref = [list(v) for v in to_sympy(m).nullspace()]
+    assert basis == [[x / next(y for y in v if y != 0) for x in v] for v in ref]
     # rank-nullity, exactly
     assert len(basis) + linalg.rank(m) == ncols
     for vec in basis:
@@ -74,7 +99,7 @@ def test_nullspace_ordering_is_by_free_column():
     assert basis[1][3] != 0
 
 
-@given(rational_matrix())
+@given(matrices)
 def test_solve_consistent_systems(m):
     rng = random.Random(7)
     x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in m[0]]
@@ -82,6 +107,28 @@ def test_solve_consistent_systems(m):
     x = linalg.solve(m, b)
     assert x is not None
     assert linalg.mat_vec(m, x) == b
+    # sympy's parametric solution with every free parameter at zero
+    ref, params = to_sympy(m).gauss_jordan_solve(to_sympy([[y] for y in b]))
+    assert to_sympy([[y] for y in x]) == ref.subs({p: 0 for p in params})
+    # an arbitrary right-hand side is solvable iff it adds no rank
+    c = [Fraction(rng.randint(-4, 4)) for _ in m]
+    augmented = to_sympy([list(row) + [y] for row, y in zip(m, c)])
+    solvable = augmented.rank() == to_sympy(m).rank()
+    assert (linalg.solve(m, c) is not None) == solvable
+
+
+def test_int_rows_give_fraction_entries():
+    m = [[1, 0, 2, 1], [0, 1, 3, 1], [1, 1, 5, 2]]
+    reduced, pivots = linalg.rref(m)
+    assert pivots == [0, 1]
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert linalg.rank(m) == 2
+    basis = linalg.nullspace(m)
+    assert len(basis) == 2
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+    x = linalg.solve(m, [1, 2, 3])
+    assert x == [1, 2, 0, 0]
+    assert all(type(v) is Fraction for v in x)
 
 
 def test_solve_reports_inconsistency():

@@ -176,6 +176,17 @@ def test_noisy_pr_interpolates_between_box_and_noise():
         assert model == EmpiricalModel(box.hypergraph, box.outcomes, blended)
 
 
+def test_noisy_pr_keeps_exact_weights_and_snaps_floats():
+    state = noisy_pr_fragment(Fraction(1, 1234567)).states[0]
+    assert {x.denominator for x in state} == {1, 1234567}
+    assert noisy_pr_fragment("1/1234567").states[0] == state
+    # a float still snaps to a denominator of at most 10**6, as before
+    snapped = Fraction(1 / 1234567).limit_denominator(10**6)
+    assert snapped == Fraction(1, 1000000)
+    assert noisy_pr_fragment(1 / 1234567).states == noisy_pr_fragment(snapped).states
+    assert noisy_pr_fragment(0.5).states == noisy_pr_fragment(Fraction(1, 2)).states
+
+
 def _correlation_oracle(alpha: float, beta: float) -> float:
     """Born-rule correlator for the maximally correlated two-qubit state."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
