@@ -86,8 +86,9 @@ def _load(parser_fn, path: str, what: str):
         return parser_fn(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"malformed JSON in {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        # OverflowError: a JSON number such as 1e400 loads as a float inf
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        # OverflowError: a JSON number such as 1e400 loads as a float inf;
+        # AttributeError: a JSON value of the wrong type, such as null masses
         raise _InputError(f"bad {what} file {path}: {exc}") from exc
 
 
@@ -104,7 +105,7 @@ def _load_hypergraph(path: str) -> CompatibilityHypergraph:
             tuple(doc["measurements"]),
             tuple(tuple(c) for c in doc["contexts"]),
         )
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise _InputError(f"bad hypergraph file {path}: {exc}") from exc
 
 

@@ -542,6 +542,12 @@ def _rational_in(x) -> Fraction:
     return parse_rational(x) if isinstance(x, str) else Fraction(x)
 
 
+def _index_in(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"effect index {x!r} is not an integer")
+    return x
+
+
 def fragment_from_json(text: str) -> GptFragment:
     payload = json.loads(text)
     return GptFragment(
@@ -549,7 +555,7 @@ def fragment_from_json(text: str) -> GptFragment:
         states=tuple(tuple(map(_rational_in, v)) for v in payload["states"]),
         effects=tuple(tuple(map(_rational_in, v)) for v in payload["effects"]),
         unit_effect=tuple(map(_rational_in, payload["unit_effect"])),
-        measurements=tuple(tuple(m) for m in payload["measurements"]),
+        measurements=tuple(tuple(map(_index_in, m)) for m in payload["measurements"]),
         transformations=tuple(
             tuple(tuple(map(_rational_in, row)) for row in t)
             for t in payload.get("transformations", [])

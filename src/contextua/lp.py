@@ -4,6 +4,14 @@ All variables are nonnegative; callers split free variables themselves.
 Infeasible problems come back with a Farkas certificate against the stored
 sign-fixed standard form: certificate . matrix >= 0 componentwise while
 certificate . rhs < 0, all exact.  The tableau holds stdlib Fractions.
+
+A pivot updates the other rows in place, and only at the columns where the
+normalised pivot row is nonzero.  A zero pivot-row entry would change an
+entry x to x - f*0, which is x, so skipping it is exact: the tableau after
+each pivot, and therefore the entering and leaving variables that Bland's
+rule picks, the assignment and the Farkas certificate, are those of the
+full-row update.  The tableau rows are copies, so neither the constraint
+rows added to the program nor the stored standard form are ever written.
 """
 
 from __future__ import annotations
@@ -205,14 +213,17 @@ class LinearProgram:
         inv = _ONE / pivot_row[col]
         if inv != 1:
             tableau[row] = pivot_row = [x * inv for x in pivot_row]
+        # A zero pivot-row entry p leaves x - f*0 == x, so only the nonzero
+        # columns change; every entry, and so every Bland choice, is the one
+        # a full-row update gives.
+        nonzero = [(j, p) for j, p in enumerate(pivot_row) if p]
         for i, other in enumerate(tableau):
             if i == row:
                 continue
             factor = other[col]
             if factor != 0:
-                tableau[i] = [
-                    x - factor * p for x, p in zip(other, pivot_row)
-                ]
+                for j, p in nonzero:
+                    other[j] -= factor * p
         basis[row] = col
 
     @classmethod

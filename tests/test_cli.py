@@ -1,12 +1,18 @@
 """Exit codes, report shapes, determinism, and file round-trips for the CLI."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextua import cli
 from contextua.cli import main
@@ -378,6 +384,20 @@ def test_input_error_exit_codes(capsys, tmp_path):
     huge.write_text(open(planted).read().replace('"1/8"', "1e400", 1))
     code, _, err = run(capsys, "fraction", str(huge))
     assert code == 2 and "bad model file" in err and len(err.splitlines()) == 1
+    # an in-bound exponent whose value has too many digits to print back
+    huge.write_text(open(bit).read().replace('"effects": [[1, 0]', '"effects": [["1e4300", 0]'))
+    code, _, err = run(capsys, "validate", str(huge))
+    assert code == 2 and len(err.splitlines()) == 1
+    assert "bad fragment file" in err and "'1e4300' has more than 4300 digits" in err
+    # JSON values of the wrong type where an index or an object belongs
+    doc = json.loads(open(bit).read())
+    doc["measurements"] = [[0, None]]
+    huge.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "nc-check", str(huge))
+    assert code == 2 and "effect index None" in err and len(err.splitlines()) == 1
+    huge.write_text(json.dumps({"atoms": ["a"], "masses": None}))
+    code, _, err = run(capsys, "interference", str(huge))
+    assert code == 2 and "bad measure file" in err and len(err.splitlines()) == 1
     # a decimal exponent past the bound is refused before it is expanded,
     # and so is a zero denominator
     for values in ("1e100000000", "1/0"):
@@ -457,3 +477,95 @@ def test_byte_identical_reports(capsys, tmp_path):
     human_one = run(capsys, "equivalences", path)
     human_two = run(capsys, "equivalences", path)
     assert human_one == human_two and human_one[1] != first[1]
+
+
+# -- fuzzing: arbitrary JSON files and flags ----------------------------------
+
+
+def _file_commands():
+    """Each subcommand that reads a file, with the parser's own actions."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: p._actions
+        for name, p in sub.choices.items()
+        if any(a.dest == "file" for a in p._actions)
+    }
+
+
+FILE_COMMANDS = _file_commands()
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 70)
+    | st.floats(width=32)
+    | st.sampled_from(["1/2", "-1/3", "1e4300", "1/0", "0.25", "a", "m0"])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=16,
+)
+
+
+@st.composite
+def documents(draw):
+    """Arbitrary JSON, or a corpus document with one part replaced by it."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    name = draw(st.sampled_from(["classical-bit", "gbit", "halving", "pr-box", "two-slit"]))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["scenarios", "emit", name])
+    doc = json.loads(buf.getvalue())
+    node = doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        if not isinstance(node[key], (dict, list)) or draw(st.booleans()):
+            node[key] = draw(json_values)
+            break
+        node = node[key]
+    return doc
+
+
+@st.composite
+def invocations(draw, path, complex_path):
+    command = draw(st.sampled_from(sorted(FILE_COMMANDS)))
+    argv = [command, path]
+    for action in FILE_COMMANDS[command]:
+        if not action.option_strings or isinstance(action, argparse._HelpAction):
+            continue
+        if not draw(st.booleans()):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.choices:
+            argv += [flag, str(draw(st.sampled_from(action.choices)))]
+        elif action.type is int:
+            argv += [flag, str(draw(st.integers(-2, 40)))]
+        elif action.metavar == "COMPLEX":
+            argv += [flag, complex_path]
+        else:
+            argv += [flag, draw(st.text(alphabet="0123456789-/.,e ", max_size=10))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), documents(), documents())
+def test_fuzzed_files_and_flags_end_in_a_known_exit_code(data, doc, complex_doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        complex_path = os.path.join(tmp, "complex.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with open(complex_path, "w") as fh:
+            json.dump(complex_doc, fh)
+        argv = data.draw(invocations(path, complex_path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert code != 1 or "--strict" in argv, argv
+    if code == 2 and not err.getvalue().startswith("usage:"):
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -359,7 +359,15 @@ def test_fragment_json_roundtrip_and_rational_format():
 def test_parse_rational_bounds_the_decimal_exponent():
     assert parse_rational("-1/4") == F(-1, 4)
     assert parse_rational(" 2.5e-3 ") == F(1, 400)
-    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("-1e-4299") == F(-1, 10**4299)
+    # in-bound exponents whose value has 4301 digits, which CPython cannot print
+    for text in ("1e4300", "-1e-4300", "99e4299"):
+        with pytest.raises(ValueError, match=f"'{text}' has more than 4300 digits"):
+            parse_rational(text)
+    # a 4301-digit literal, which CPython refuses to read, is quoted too
+    with pytest.raises(ValueError, match=r"'10+\.\.\.0+' is longer than 4300 char"):
+        parse_rational("1" + "0" * 4300)
     # each would expand to a power of ten with millions of digits
     for text in ("1e100000000", "1E-4301", "7.5e+10000000", "1e100_000_000"):
         with pytest.raises(ValueError, match="exponent"):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from contextua.lp import LinearProgram, LpSolution
+from contextua.noncontextuality import Limits, _embedding_program
+from contextua.scenarios import gbit, halving_fragment, qubit_fragment
 
 
 def build(objective, rows, ops, rhs, sense="max"):
@@ -235,3 +238,75 @@ def test_solution_bookkeeping_fields():
     assert sol.eq_matrix is not None and sol.eq_rhs is not None
     # one declared variable plus one slack column
     assert len(sol.eq_matrix[0]) == 2
+
+
+# -- the sparse pivot follows the full-row pivot exactly ---------------------
+
+
+def dense_pivot(tableau, basis, row, col):
+    """Reference pivot: every other row recomputed over every column."""
+    pivot_row = tableau[row]
+    inv = F(1) / pivot_row[col]
+    if inv != 1:
+        tableau[row] = pivot_row = [x * inv for x in pivot_row]
+    for i, other in enumerate(tableau):
+        if i != row and other[col] != 0:
+            factor = other[col]
+            tableau[i] = [x - factor * p for x, p in zip(other, pivot_row)]
+    basis[row] = col
+
+
+def solve_recording(lp, pivot):
+    """Solve with ``pivot`` in place of ``_pivot``; also return the
+    (row, column) of every pivot taken."""
+    path = []
+
+    def recorded(tableau, basis, row, col):
+        path.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    with patch.object(LinearProgram, "_pivot", staticmethod(recorded)):
+        return lp.solve(), path
+
+
+def assert_same_path(lp):
+    sparse, sparse_path = solve_recording(lp, LinearProgram._pivot)
+    dense, dense_path = solve_recording(lp, dense_pivot)
+    assert sparse_path == dense_path
+    assert sparse == dense
+    assert repr(sparse) == repr(dense)
+
+
+@settings(max_examples=50)
+@given(small_lps)
+def test_sparse_pivot_matches_dense_pivot(case):
+    objective, constraints, sense = case
+    rows = [c[0] for c in constraints]
+    ops = [c[1] for c in constraints]
+    rhs = [c[2] for c in constraints]
+    lp, _ = build(objective, rows, ops, rhs, sense)
+    assert_same_path(lp)
+
+
+@pytest.mark.parametrize("fragment", [gbit, halving_fragment, qubit_fragment])
+@pytest.mark.parametrize("signed", [False, True])
+def test_sparse_pivot_matches_dense_pivot_on_embedding_lps(fragment, signed):
+    assert_same_path(_embedding_program(fragment(), signed, Limits()))
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        lambda: _embedding_program(gbit(), True, Limits()),
+        lambda: _embedding_program(qubit_fragment(), True, Limits()),
+        lambda: build([1, 2], [[1, 1], [1, -1], [-1, 3]], ["<=", ">=", "="], [4, -1, 2])[0],
+    ],
+    ids=["gbit", "qubit", "mixed-rows"],
+)
+def test_solving_twice_leaves_the_program_intact(program):
+    lp = program()
+    first = lp.solve()
+    rows, rhs, _ = lp._standard_form()
+    assert first.eq_matrix == tuple(map(tuple, rows))
+    assert first.eq_rhs == tuple(rhs)
+    assert lp.solve() == first

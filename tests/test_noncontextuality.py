@@ -40,6 +40,7 @@ from contextua.scenarios import (
     pr_box_fragment,
     product_model,
     qubit_fragment,
+    random_acyclic_hypergraph,
     random_fragment,
     random_nondisturbing_model,
     two_party_model_from_fragment,
@@ -505,6 +506,60 @@ def test_fraction_monotone_under_mixing_with_noncontextual():
     for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
         mixed = contextual_fraction(mix_models(t, box, noise))
         assert mixed.cf <= t * 1
+
+
+def highs_noncontextual_fraction(m):
+    """Largest total weight of global assignments under every table entry,
+    as a float LP solved by HiGHS."""
+    names = m.hypergraph.measurements
+    globals_ = list(product(*(range(m.outcomes[x]) for x in names)))
+    rows, rhs = [], []
+    for context, table in zip(m.hypergraph.contexts, m.tables):
+        local = list(product(*(range(m.outcomes[x]) for x in context)))
+        positions = [names.index(x) for x in context]
+        for key, value in zip(local, table):
+            rows.append(
+                [float(tuple(g[p] for p in positions) == key) for g in globals_]
+            )
+            rhs.append(float(value))
+    result = linprog(
+        -np.ones(len(globals_)), A_ub=np.array(rows), b_ub=np.array(rhs),
+        bounds=(0, None), method="highs",
+    )
+    assert result.success
+    return -result.fun
+
+
+def pr_cycle(n):
+    """Binary n-cycle with uniform marginals, perfectly correlated in every
+    context but the last, which is perfectly anticorrelated."""
+    names = tuple(f"c{i}" for i in range(n))
+    h = CompatibilityHypergraph(names, tuple((names[i], names[(i + 1) % n]) for i in range(n)))
+    half, zero = Fraction(1, 2), Fraction(0)
+    agree, differ = (half, zero, zero, half), (zero, half, half, zero)
+    tables = tuple(agree if i < n - 1 else differ for i in range(n))
+    return EmpiricalModel(h, {x: 2 for x in names}, tables)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fraction_of_acyclic_models_against_highs(seed):
+    rng = Random(seed)
+    h = random_acyclic_hypergraph(rng, max_measurements=6)
+    m = random_nondisturbing_model(h, rng, {x: 2 for x in h.measurements})
+    report = contextual_fraction(m)
+    assert report.cf == 0
+    assert abs(float(report.ncf) - highs_noncontextual_fraction(m)) < 1e-7
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("seed", range(6))
+def test_fraction_of_cycles_against_highs(n, seed):
+    rng = Random(100 * n + seed)
+    cycle = pr_cycle(n)
+    noise = random_nondisturbing_model(cycle.hypergraph, rng, dict(cycle.outcomes))
+    m = mix_models(Fraction(rng.randint(0, 8), 8), noise, cycle)
+    report = contextual_fraction(m)
+    assert abs(float(report.ncf) - highs_noncontextual_fraction(m)) < 1e-7
 
 
 def test_fraction_rejects_disturbing_input():
