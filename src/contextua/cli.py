@@ -92,21 +92,15 @@ def _load(parser_fn, path: str, what: str):
         raise _InputError(f"bad {what} file {path}: {exc}") from exc
 
 
-def _load_hypergraph(path: str) -> CompatibilityHypergraph:
-    text = _read(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"malformed JSON in {path}: {exc}") from exc
-    try:
-        if isinstance(doc, dict) and "hypergraph" in doc:
-            return model_from_json(text).hypergraph
-        return CompatibilityHypergraph(
-            tuple(doc["measurements"]),
-            tuple(tuple(c) for c in doc["contexts"]),
-        )
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise _InputError(f"bad hypergraph file {path}: {exc}") from exc
+def _parse_hypergraph(text: str) -> CompatibilityHypergraph:
+    """A bare hypergraph document, or the hypergraph of a model file."""
+    doc = json.loads(text)
+    if isinstance(doc, dict) and "hypergraph" in doc:
+        return model_from_json(text).hypergraph
+    return CompatibilityHypergraph(
+        tuple(doc["measurements"]),
+        tuple(tuple(c) for c in doc["contexts"]),
+    )
 
 
 def _parse_values(text: str, expected: int) -> list[Fraction]:
@@ -294,7 +288,7 @@ def _cmd_vorobyev(args):
         return {"verdict": verdict, "betti_1": betti}, False
     if args.file is None:
         raise _InputError("vorobyev needs a hypergraph file or --generalized")
-    h = _load_hypergraph(args.file)
+    h = _load(_parse_hypergraph, args.file, "hypergraph")
     reduced, trace = graham_reduce(h)
     report = {
         "acyclic": reduced.is_empty,

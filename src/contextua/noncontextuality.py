@@ -13,7 +13,7 @@ certification path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -75,21 +75,21 @@ class ResponsePolytope:
         return self.status == "empty"
 
 
-def _cut_vertices(dim, box, extras):
-    """Vertex set of {t : box, and a.t <= beta for (a, beta) in extras}.
+def _cut_vertices(dim, extras):
+    """Vertex set of {t in [0, 1]^dim : a.t <= beta for (a, beta) in extras}.
 
-    Incremental double description seeded on the bounding box.  Each
+    Incremental double description seeded on the unit cube's corners.  Each
     vertex carries its incidence (the labels of the constraints it lies
-    on: 2k + b for the box bounds, then one per cut) forward: a surviving
-    vertex gains at most the current cut, and a new vertex on the edge
-    between i and j meets exactly the constraints the two share plus the
-    cut.  Two vertices are adjacent when no third vertex lies on every
+    on: 2k + b for the cube face t_k = b, then one per cut) forward: a
+    surviving vertex gains at most the current cut, and a new vertex on the
+    edge between i and j meets exactly the constraints the two share plus
+    the cut.  Two vertices are adjacent when no third vertex lies on every
     constraint they share, which stays exact under degeneracy.
     """
     points = []
     zeros = []
     for bits in product((0, 1), repeat=dim):
-        points.append(tuple(box[k][b] for k, b in enumerate(bits)))
+        points.append(tuple((_ZERO, _ONE)[b] for b in bits))
         zeros.append(frozenset(2 * k + b for k, b in enumerate(bits)))
     for label, (a, beta) in enumerate(extras, start=2 * dim):
         margins = [sum(c * x for c, x in zip(a, p)) - beta for p in points]
@@ -132,6 +132,12 @@ def response_vertices(
 ) -> ResponsePolytope:
     """Exact vertex enumeration of the valuation polytope.
 
+    One reduction of the equality system ``[A | b]`` parametrises its
+    solutions by the free coordinates t: x_free = t, and each pivot
+    coordinate is x_p = c_p - a_p.t.  The bounds 0 <= x_free <= 1 are then
+    the unit cube the enumeration seeds on, and each pivot row adds the two
+    cuts a_p.t <= c_p and -a_p.t <= 1 - c_p.
+
     Equivalence coefficients may reference index ``len(f.effects)``, which
     stands for the unit effect and contributes its constant value 1 to the
     equality's right-hand side.
@@ -173,41 +179,22 @@ def response_vertices(
         constraints.append((unit, "<=", _ONE))
     constraints.extend((row, "=", rhs) for row, rhs in equalities)
 
-    matrix = [list(row) for row, _ in equalities]
-    rhs_vec = [rhs for _, rhs in equalities]
-    base = linalg.solve(matrix, rhs_vec)
-    if base is None:
+    reduced, pivots = linalg.rref([[*row, rhs] for row, rhs in equalities])
+    if pivots and pivots[-1] == n:  # a row 0 = 1: no solution at all
         return ResponsePolytope("empty", (), tuple(constraints))
-    basis = linalg.nullspace(matrix)
-    dim = len(basis)
-
-    # per basis vector, a coordinate owned by it alone fixes a bound on t_k
-    box = []
-    for k in range(dim):
-        owned = next(
-            j
-            for j in range(n)
-            if basis[k][j] != 0
-            and all(basis[k2][j] == 0 for k2 in range(dim) if k2 != k)
-        )
-        reach = (1 + abs(base[owned])) / abs(basis[k][owned])
-        box.append((-reach - 1, reach + 1))
-
+    free = [j for j in range(n) if j not in pivots]
+    rows = [([row[j] for j in free], row[n]) for row in reduced[: len(pivots)]]
     extras = []
-    for r in range(n):
-        direction = tuple(basis[k][r] for k in range(dim))
-        extras.append((tuple(-x for x in direction), base[r]))
-        extras.append((direction, _ONE - base[r]))
-    t_vertices = _cut_vertices(dim, box, extras)
-    vertices = sorted(
-        {
-            tuple(
-                base[r] + sum(basis[k][r] * t[k] for k in range(dim))
-                for r in range(n)
-            )
-            for t in t_vertices
-        }
-    )
+    for a, c in rows:
+        extras.append((a, c))
+        extras.append(([-x for x in a], _ONE - c))
+    found = set()
+    for t in _cut_vertices(len(free), extras):
+        x = dict(zip(free, t))
+        for p, (a, c) in zip(pivots, rows):
+            x[p] = c - sum(ak * tk for ak, tk in zip(a, t))
+        found.add(tuple(x[r] for r in range(n)))
+    vertices = sorted(found)
     status = "ok" if vertices else "empty"
     return ResponsePolytope(status, tuple(vertices), tuple(constraints))
 
@@ -315,8 +302,8 @@ class FractionReport:
     ``ncf + cf + df == 1`` always.  ``p_nc`` is the normalized globally
     explainable part, ``p_sc`` the normalized remainder, ``p_d`` the
     normalized disturbing part (only from the disturbance pipeline).
-    ``p_sc`` is reported as the remainder only; no strong-contextuality
-    certificate is attached to it, which ``p_sc_certified`` records.
+    ``p_sc`` is the remainder only and carries no strong-contextuality
+    certificate.
     """
 
     ncf: Fraction
@@ -325,7 +312,6 @@ class FractionReport:
     p_nc: EmpiricalModel | None
     p_sc: EmpiricalModel | None
     p_d: EmpiricalModel | None = None
-    p_sc_certified: bool = field(default=False)
 
     def __post_init__(self):
         total = self.ncf + self.cf + self.df
@@ -391,24 +377,22 @@ def contextual_fraction(
     ncf = solution.objective
     cf = 1 - ncf
 
+    masses = []
+    for table, column in zip(m.tables, restrictions):
+        mass = [_ZERO] * len(table)
+        for g, flat in enumerate(column):
+            mass[flat] += solution.assignment[f"w_{g}"]
+        masses.append(mass)
     p_nc = p_sc = None
     if ncf > 0:
-        tables = []
-        for table, column in zip(m.tables, restrictions):
-            mass = [_ZERO] * len(table)
-            for g, flat in enumerate(column):
-                mass[flat] += solution.assignment[f"w_{g}"]
-            tables.append(tuple(x / ncf for x in mass))
-        p_nc = EmpiricalModel(h, dict(m.outcomes), tuple(tables))
+        tables = tuple(tuple(x / ncf for x in mass) for mass in masses)
+        p_nc = EmpiricalModel(h, dict(m.outcomes), tables)
     if cf > 0:
-        tables = []
-        for i, context in enumerate(h.contexts):
-            table = []
-            for flat, local in enumerate(m.assignments(context)):
-                nc_part = p_nc.tables[i][flat] * ncf if p_nc else _ZERO
-                table.append((m.tables[i][flat] - nc_part) / cf)
-            tables.append(tuple(table))
-        p_sc = EmpiricalModel(h, dict(m.outcomes), tuple(tables))
+        tables = tuple(
+            tuple((p - x) / cf for p, x in zip(table, mass))
+            for table, mass in zip(m.tables, masses)
+        )
+        p_sc = EmpiricalModel(h, dict(m.outcomes), tables)
     return FractionReport(ncf=ncf, cf=cf, df=_ZERO, p_nc=p_nc, p_sc=p_sc)
 
 

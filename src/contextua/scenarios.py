@@ -753,6 +753,20 @@ def _two_slit_cli(phase: float = 0.0) -> EventMeasure:
     return two_slit_measure(amp, amp * complex(math.cos(phase), math.sin(phase)))
 
 
+#: Largest ``n`` the command line builds a simplex for: validation grows as
+#: about n**3, so n = 64 takes about a second and n = 128 about ten.
+CLASSICAL_SIMPLEX_CLI_MAX = 64
+
+
+def _classical_simplex_cli(n=3) -> GptFragment:
+    n = int(n)
+    if n > CLASSICAL_SIMPLEX_CLI_MAX:
+        raise ValueError(
+            f"n = {n} exceeds the command-line cap of {CLASSICAL_SIMPLEX_CLI_MAX}"
+        )
+    return classical_simplex(n)
+
+
 def _chsh_cli(a0=None, a1=None, b0=None, b1=None) -> EmpiricalModel:
     defaults = TSIRELSON_ANGLES
     angles = tuple(
@@ -764,7 +778,7 @@ def _chsh_cli(a0=None, a1=None, b0=None, b1=None) -> EmpiricalModel:
 
 SCENARIOS: dict[str, tuple[str, object]] = {
     "classical-bit": ("fragment", lambda: classical_simplex(2)),
-    "classical-simplex": ("fragment", lambda n=3: classical_simplex(int(n))),
+    "classical-simplex": ("fragment", _classical_simplex_cli),
     "gbit": ("fragment", gbit),
     "halving": ("fragment", halving_fragment),
     "qubit": ("fragment", qubit_fragment),

@@ -213,6 +213,14 @@ def test_vorobyev_subcommand_paths(capsys, tmp_path):
     assert report == {"verdict": "noncontextual-certified", "betti_1": 0}
 
     assert run(capsys, "vorobyev")[0] == 2
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"measurements": ["a"]')
+    code, _, err = run(capsys, "vorobyev", str(broken))
+    assert code == 2 and "malformed JSON in" in err and len(err.splitlines()) == 1
+    broken.write_text(json.dumps({"measurements": ["a"]}))
+    code, _, err = run(capsys, "vorobyev", str(broken))
+    assert code == 2 and "bad hypergraph file" in err and "contexts" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_interference_orders(capsys, tmp_path):
@@ -325,6 +333,27 @@ def test_pr_noise_sweep_row(capsys):
     }
 
 
+def test_fragment_without_equalities_embeds(capsys, tmp_path):
+    """No measurement and no effect dependence leave the response polytope
+    the whole unit cube; both embedding subcommands answer, even --strict."""
+    path = tmp_path / "free.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimension": 2,
+                "effects": [[1, 0]],
+                "measurements": [],
+                "states": [[1, 0], [0, 1]],
+                "unit_effect": [1, 1],
+            }
+        )
+    )
+    code, out, err = run(capsys, "nc-check", str(path), "--json", "--strict")
+    assert (code, json.loads(out), err) == (0, {"status": "optimal"}, "")
+    code, out, err = run(capsys, "negativity", str(path), "--json", "--strict")
+    assert (code, json.loads(out), err) == (0, {"negativity": "0"}, "")
+
+
 def test_input_error_exit_codes(capsys, tmp_path):
     assert run(capsys, "nosuch")[0] == 2
 
@@ -374,6 +403,11 @@ def test_input_error_exit_codes(capsys, tmp_path):
             capsys, "scenarios", "emit", "noisy-pr-fragment", "--param", f"weight={weight}"
         )
         assert code == 2 and "noisy-pr-fragment" in err and len(err.splitlines()) == 1
+    # the size cap is checked before anything n-by-n is built
+    code, _, err = run(
+        capsys, "scenarios", "emit", "classical-simplex", "--param", "n=100000"
+    )
+    assert code == 2 and "classical-simplex" in err and len(err.splitlines()) == 1
 
     # a JSON number beyond float range loads as inf, which no rational equals
     bit = emit(capsys, tmp_path, "classical-bit")

@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 from contextua import linalg
 from contextua.core_model import (
     EmpiricalModel,
+    GptFragment,
     OperationalEquivalence,
     effect_equivalences,
     probability,
@@ -208,6 +209,60 @@ def test_empty_verdicts_cover_both_failure_modes():
     half = Fraction(1, 2)
     assert polytope.status == "ok"
     assert polytope.vertices == ((Fraction(1), Fraction(0), half, half),)
+
+
+def test_no_equalities_leave_the_whole_unit_cube():
+    """No measurement and no effect dependence: every coordinate is free."""
+    f = GptFragment(
+        dimension=2,
+        states=((1, 0), (0, 1)),
+        effects=((1, 0),),
+        unit_effect=(1, 1),
+        measurements=(),
+    )
+    assert effect_equivalences(f, include_unit=True) == []
+    polytope = response_vertices(f)
+    assert polytope.status == "ok"
+    assert polytope.vertices == ((Fraction(0),), (Fraction(1),))
+
+
+def _permuted(f, perm):
+    """f with effect i taken from effect perm[i], measurements relabelled."""
+    inverse = {old: new for new, old in enumerate(perm)}
+    return GptFragment(
+        dimension=f.dimension,
+        states=f.states,
+        effects=tuple(f.effects[old] for old in perm),
+        unit_effect=f.unit_effect,
+        measurements=tuple(
+            tuple(inverse[r] for r in meas) for meas in f.measurements
+        ),
+        transformations=f.transformations,
+    )
+
+
+@pytest.mark.parametrize(
+    "fragment",
+    [gbit(), halving_fragment(), qubit_fragment()]
+    + [random_fragment(Random(k)) for k in (0, 6, 9, 10)]
+    + [pr_box_fragment()],
+    ids=["gbit", "halving", "qubit", "random0", "random6", "random9", "random10", "pr"],
+)
+def test_vertices_do_not_depend_on_the_effect_order(fragment):
+    """A permutation changes which coordinates are free, hence the cube the
+    enumeration seeds on and the cuts it makes, but not the polytope."""
+    original = set(response_vertices(fragment).vertices)
+    rng = Random(len(fragment.effects))
+    for _ in range(2):
+        perm = list(range(len(fragment.effects)))
+        rng.shuffle(perm)
+        permuted = response_vertices(_permuted(fragment, perm)).vertices
+        inverse = {old: new for new, old in enumerate(perm)}
+        mapped_back = {
+            tuple(v[inverse[r]] for r in range(len(perm))) for v in permuted
+        }
+        assert len(mapped_back) == len(permuted)
+        assert mapped_back == original
 
 
 def test_pr_fragment_vertices_are_the_no_signalling_boxes():
@@ -468,7 +523,6 @@ def test_fraction_anchors_pr_and_classical():
     assert report.cf == 1 and report.ncf == 0 and report.df == 0
     assert report.p_nc is None
     assert report.p_sc is not None and report.p_sc.tables == pr_box().tables
-    assert not report.p_sc_certified
 
     h = CompatibilityHypergraph(("a", "b"), (("a", "b"),))
     marginals = {"a": (Fraction(1, 4), Fraction(3, 4)), "b": (Fraction(1), Fraction(0))}
