@@ -249,7 +249,9 @@ def measure_from_json(text: str) -> EventMeasure:
     payload = json.loads(text)
     masses = {}
     for key, value in payload["masses"].items():
-        masses[_parse_event_key(key)] = (
-            parse_rational(value) if isinstance(value, str) else value
-        )
+        if isinstance(value, str):
+            value = parse_rational(value)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"mass of {key!r} must be a number or a rational string")
+        masses[_parse_event_key(key)] = value
     return EventMeasure(tuple(payload["atoms"]), masses)

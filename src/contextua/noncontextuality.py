@@ -369,6 +369,10 @@ def contextual_fraction(
             rows[flat][f"w_{g}"] = _ONE
         for row, value in zip(rows, table):
             program.add_constraint(row, "<=", value)
+    if not h.contexts:
+        # each context's table caps the total weight at 1; with none, the
+        # single (empty) global assignment needs that cap stated
+        program.add_constraint({"w_0": _ONE}, "<=", _ONE)
     solution = program.solve()
     if solution.status != "optimal":
         raise AssertionError(

@@ -354,6 +354,27 @@ def test_fragment_without_equalities_embeds(capsys, tmp_path):
     assert (code, json.loads(out), err) == (0, {"negativity": "0"}, "")
 
 
+def test_model_without_contexts_is_noncontextual(capsys, tmp_path):
+    """An empty hypergraph has one global assignment, the empty one, and it
+    carries the whole weight; tables for absent contexts are not read."""
+    path = tmp_path / "empty.json"
+    path.write_text(
+        json.dumps({"hypergraph": [], "outcomes": {"a": 2}, "tables": {"0": [1, 0]}})
+    )
+    code, out, err = run(capsys, "fraction", str(path), "--json", "--strict")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "ncf": "1",
+        "cf": "0",
+        "df": "0",
+        "has_noncontextual_part": True,
+        "has_contextual_part": False,
+    }
+    code, out, err = run(capsys, "disturbance", str(path), "--fractions", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fractions"] == {"ncf": "1", "cf": "0", "df": "0"}
+
+
 def test_input_error_exit_codes(capsys, tmp_path):
     assert run(capsys, "nosuch")[0] == 2
 
@@ -432,6 +453,11 @@ def test_input_error_exit_codes(capsys, tmp_path):
     huge.write_text(json.dumps({"atoms": ["a"], "masses": None}))
     code, _, err = run(capsys, "interference", str(huge))
     assert code == 2 and "bad measure file" in err and len(err.splitlines()) == 1
+    for mass in (None, True, [1]):
+        masses = {"a": mass, "a|b": 1, "b": "1/2"}
+        huge.write_text(json.dumps({"atoms": ["a", "b"], "masses": masses}))
+        code, _, err = run(capsys, "interference", str(huge))
+        assert code == 2 and "mass of 'a'" in err and len(err.splitlines()) == 1
     # a decimal exponent past the bound is refused before it is expanded,
     # and so is a zero denominator
     for values in ("1e100000000", "1/0"):
