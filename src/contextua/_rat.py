@@ -63,10 +63,10 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def rationalize(value: float, max_denominator: int = DEFAULT_DENOMINATOR_BOUND) -> Fraction:
+def rationalize(value: float) -> Fraction:
     """Snap a float to a nearby exact rational with a bounded denominator.
 
     Used at the boundary where numeric scenario generation (Born-rule tables,
     noise sweeps) hands data to the exact core; everything downstream is exact.
     """
-    return Fraction(value).limit_denominator(max_denominator)
+    return Fraction(value).limit_denominator(DEFAULT_DENOMINATOR_BOUND)

@@ -103,6 +103,32 @@ def _parse_hypergraph(text: str) -> CompatibilityHypergraph:
     )
 
 
+#: Most faces a complex file may close to on the command line, counted as
+#: 2**k - 1 per listed simplex of k distinct vertices before any closure.
+#: One 10-vertex simplex (1023 faces) takes about 1 s in ``homology --n 4``,
+#: 11 vertices 7 s and 12 vertices 37 s.
+COMPLEX_CLI_MAX_FACES = 2**10 - 1
+
+
+def _parse_complex(text: str) -> ddg.SimplicialComplex:
+    """A complex file, refused when its face closure could exceed
+    :data:`COMPLEX_CLI_MAX_FACES`; the library itself takes any size."""
+    doc = json.loads(text)
+    faces = 0
+    for simplex in doc if isinstance(doc, (list, dict)) else ():
+        try:
+            k = len(set(simplex))
+        except TypeError:  # not a vertex collection: the closure rejects it
+            continue
+        faces += 2**k - 1 if k == len(simplex) else 0  # else degenerate
+    if faces > COMPLEX_CLI_MAX_FACES:
+        raise ValueError(
+            f"its simplices close to up to {faces} faces, over the "
+            f"command-line cap of {COMPLEX_CLI_MAX_FACES}"
+        )
+    return ddg.SimplicialComplex(doc)
+
+
 def _parse_values(text: str, expected: int) -> list[Fraction]:
     try:
         values = [parse_rational(tok) for tok in text.split(",") if tok.strip()]
@@ -153,6 +179,15 @@ def _complex_for(args, path: str, view: str):
             f"for kind {args.kind!r}"
         )
     return oc, valuation_from_values(oc, _parse_values(args.values, oc.object_count))
+
+
+def _fractions_payload(report) -> dict:
+    """The ncf/cf/df weights of a fraction report as rational text."""
+    return {
+        "ncf": format_rational(report.ncf),
+        "cf": format_rational(report.cf),
+        "df": format_rational(report.df),
+    }
 
 
 def _limits(args) -> Limits:
@@ -215,9 +250,7 @@ def _cmd_fraction(args):
     m = _load(model_from_json, args.file, "model")
     report = contextual_fraction(m, limits=limits)
     payload = {
-        "ncf": format_rational(report.ncf),
-        "cf": format_rational(report.cf),
-        "df": format_rational(report.df),
+        **_fractions_payload(report),
         "has_noncontextual_part": report.p_nc is not None,
         "has_contextual_part": report.p_sc is not None,
     }
@@ -242,10 +275,7 @@ def _cmd_curvature(args):
     dec = decompose(oc, xi)
     curv = curvature(oc, dec)
     report = {
-        "curvature": {
-            ".".join(str(v) for v in spx): format_rational(value)
-            for spx, value in curv.values.items()
-        },
+        "curvature": curv.values.payload(),
         "disk_integrals": {
             str(oc.loops[i][0]): format_rational(disk_integral(oc, curv, i))
             for i in range(len(oc.disks))
@@ -271,7 +301,7 @@ def _cmd_phases(args):
 
 
 def _cmd_homology(args):
-    complex_ = _load(ddg.complex_from_json, args.file, "complex")
+    complex_ = _load(_parse_complex, args.file, "complex")
     group = ddg.homology(complex_, args.n)
     report = {
         "degree": group.degree,
@@ -283,7 +313,7 @@ def _cmd_homology(args):
 
 def _cmd_vorobyev(args):
     if args.generalized is not None:
-        complex_ = _load(ddg.complex_from_json, args.generalized, "complex")
+        complex_ = _load(_parse_complex, args.generalized, "complex")
         verdict, betti = h1_certificate(complex_)
         return {"verdict": verdict, "betti_1": betti}, False
     if args.file is None:
@@ -293,7 +323,7 @@ def _cmd_vorobyev(args):
     report = {
         "acyclic": reduced.is_empty,
         "remaining_contexts": [list(c) for c in reduced.contexts],
-        "trace": [list(step[:1]) + [list(x) if isinstance(x, tuple) else x for x in step[1:]] for step in trace],
+        "trace": trace,
     }
     return report, False
 
@@ -384,12 +414,9 @@ def _cmd_disturbance(args):
             "mapping": dict(sorted(ext.mapping.items())),
         }
     if args.fractions:
-        fractions = fractions_with_disturbance(m, limits=limits)
-        report["fractions"] = {
-            "ncf": format_rational(fractions.ncf),
-            "cf": format_rational(fractions.cf),
-            "df": format_rational(fractions.df),
-        }
+        report["fractions"] = _fractions_payload(
+            fractions_with_disturbance(m, limits=limits)
+        )
     return report, bool(findings)
 
 
@@ -408,9 +435,7 @@ def _sweep_point(family: str, param_text: str) -> dict:
         negativity_text = ""
     return {
         "param": param_text,
-        "ncf": format_rational(report.ncf),
-        "cf": format_rational(report.cf),
-        "df": format_rational(report.df),
+        **_fractions_payload(report),
         "negativity": negativity_text,
     }
 

@@ -30,18 +30,18 @@ class ObjectComplex:
     """Simplicial home for one kind of object and its linear dependencies.
 
     Vertex 0 is the base; object ``i`` sits at vertex ``i + 1``; station
-    vertices (one polygon per dependence) come after all objects.
-    ``edge_terms`` records which object's valuation each edge carries and
-    with what rational scale; spoke edges carry scale +1.
+    vertices (one polygon per dependence) come after all objects.  Vertex 0
+    is therefore the smallest vertex of the complex, where every potential
+    is pinned to 0.  ``edge_terms`` records which object's valuation each
+    edge carries and with what rational scale; spoke edges carry scale +1.
+    Each loop's disk is filled exactly when ``view == "geometrical"``.
     """
 
     kind: str
     complex: ddg.SimplicialComplex
     loops: tuple[tuple[int, ddg.Chain], ...]
-    filled: tuple[bool, ...]
     disks: tuple[ddg.Chain, ...]
     view: str
-    base_vertex: int
     object_count: int
     edge_terms: Mapping[Edge, tuple[tuple[int, Fraction], ...]]
 
@@ -51,7 +51,7 @@ class ObjectComplex:
         return obj + 1
 
     def star_edge(self, obj: int) -> Edge:
-        return (self.base_vertex, self.vertex_of(obj))
+        return (0, self.vertex_of(obj))
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,8 @@ def build_object_complex(
         kind=kind,
         complex=complex_,
         loops=tuple(loops),
-        filled=tuple(view == "geometrical" for _ in loops),
         disks=tuple(disks),
         view=view,
-        base_vertex=0,
         object_count=object_count,
         edge_terms=edge_terms,
     )
@@ -225,17 +223,17 @@ def _potential(
     complex_: ddg.SimplicialComplex,
     xi: ddg.Cochain,
     edges: Sequence[Edge],
-    base_vertex: int,
 ) -> ddg.Cochain:
     """Least-squares potential of xi over ``edges``, through the vertex Laplacian.
 
-    One vertex per connected component of ``edges`` is pinned to 0: the
-    base vertex where the component holds it, the smallest vertex otherwise.
+    The gauge: the first (smallest) vertex of each connected component of
+    ``edges`` is pinned to 0, the rule :func:`ddg.is_exact` integrates by.
+    The Laplacian is built on ints; only the right-hand side is rational.
     """
     vertices = complex_.vertices
     index = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
-    lap = [[Fraction(0)] * n for _ in range(n)]
+    lap = [[0] * n for _ in range(n)]
     rhs = [Fraction(0) for _ in range(n)]
     for a, b in edges:
         ia, ib = index[a], index[b]
@@ -246,11 +244,7 @@ def _potential(
         value = xi[(a, b)]
         rhs[ib] += value
         rhs[ia] -= value
-    graph = ddg.SimplicialComplex([(v,) for v in vertices] + list(edges))
-    pinned = {
-        base_vertex if base_vertex in component else component[0]
-        for component in graph.components()
-    }
+    pinned = {component[0] for component in ddg.components(vertices, edges)}
     free = [i for i, v in enumerate(vertices) if v not in pinned]
     system = [[lap[i][j] for j in free] for i in free]
     solution = linalg.solve(system, [rhs[i] for i in free])
@@ -263,18 +257,17 @@ def decompose_cochain(
     complex_: ddg.SimplicialComplex,
     xi: ddg.Cochain,
     view: str = "geometrical",
-    base_vertex: int = 0,
 ) -> ConnectionDecomposition:
     """Least-squares split xi = d(potential) + connection, exact over rationals.
 
     The potential minimizes the unit-weight squared residual, solved through
-    the vertex Laplacian; it is pinned to 0 at the base vertex (or at the
-    smallest vertex of components not containing it), which fixes the gauge
-    without changing the connection part.
+    the vertex Laplacian; it is pinned to 0 at the first vertex of each
+    connected component, which fixes the gauge without changing the
+    connection part.
     """
     if xi.degree != 1:
         raise ValueError(f"valuations have degree 1, got {xi.degree}")
-    potential = _potential(complex_, xi, complex_.simplices(1), base_vertex)
+    potential = _potential(complex_, xi, complex_.simplices(1))
     return ConnectionDecomposition(
         complex=complex_,
         potential=potential,
@@ -285,7 +278,7 @@ def decompose_cochain(
 
 
 def decompose(oc: ObjectComplex, xi: ddg.Cochain) -> ConnectionDecomposition:
-    return decompose_cochain(oc.complex, xi, oc.view, oc.base_vertex)
+    return decompose_cochain(oc.complex, xi, oc.view)
 
 
 def curvature(oc: ObjectComplex, dec: ConnectionDecomposition) -> Curvature:
@@ -352,26 +345,17 @@ def monodromy_class(oc: ObjectComplex, dec: ConnectionDecomposition) -> str:
 # ---------------------------------------------------------------------------
 # reporting
 
-def _cochain_payload(cochain: ddg.Cochain | None):
-    if cochain is None:
-        return None
-    return {
-        ".".join(map(str, simplex)): format_rational(value)
-        for simplex, value in cochain.items()
-    }
-
-
 def decomposition_report(oc: ObjectComplex, dec: ConnectionDecomposition) -> dict:
     report = {
         "view": dec.view,
-        "potential": _cochain_payload(dec.potential),
-        "connection": _cochain_payload(dec.connection),
-        "disturbance": _cochain_payload(dec.disturbance),
+        "potential": dec.potential.payload(),
+        "connection": dec.connection.payload(),
+        "disturbance": None if dec.disturbance is None else dec.disturbance.payload(),
         "phases": {
             str(eq_id): format_rational(value)
             for eq_id, value in loop_phases(oc, dec).items()
         },
     }
     if oc.view == "geometrical":
-        report["curvature"] = _cochain_payload(curvature(oc, dec).values)
+        report["curvature"] = curvature(oc, dec).values.payload()
     return report

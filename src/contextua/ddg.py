@@ -96,36 +96,24 @@ class SimplicialComplex:
                     out.append(spx)
         return out
 
-    def boundary_matrix(self, degree: int) -> linalg.Matrix:
-        """Matrix of the boundary map from degree to degree-1.
+    def boundary_matrix(self, degree: int) -> list[list[int]]:
+        """Integer matrix of the boundary map from degree to degree-1.
 
-        Rows are indexed by (degree-1)-simplices, columns by degree-simplices.
+        Rows are indexed by (degree-1)-simplices, columns by degree-simplices;
+        every entry is 0 or +-1, as ``int``.
         """
         rows = self.simplices(degree - 1)
         cols = self.simplices(degree)
-        matrix = [[Fraction(0)] * len(cols) for _ in rows]
+        matrix = [[0] * len(cols) for _ in rows]
         for j, spx in enumerate(cols):
-            for i, vertex in enumerate(spx):
+            for i in range(len(spx)):
                 face = spx[:i] + spx[i + 1 :]
-                matrix[self._index[degree - 1][face]][j] = Fraction((-1) ** i)
+                matrix[self._index[degree - 1][face]][j] = (-1) ** i
         return matrix
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by first vertex."""
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for a, b in self.simplices(1):
-            parent[find(a)] = find(b)
-        groups: dict[int, list[int]] = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
+        return components(self.vertices, self.simplices(1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimplicialComplex) and self._simplices == other._simplices
@@ -133,6 +121,27 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         counts = {dim: len(s) for dim, s in self._simplices.items()}
         return f"SimplicialComplex({counts})"
+
+
+def components(
+    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> list[tuple[int, ...]]:
+    """Connected components of a graph as sorted vertex tuples, ordered by
+    first vertex.  Every edge endpoint must be among ``vertices``."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
 
 
 class _GradedMap:
@@ -164,8 +173,12 @@ class _GradedMap:
     def items(self):
         return sorted(self._data.items())
 
-    def support(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self._data))
+    def payload(self) -> dict[str, str]:
+        """JSON-ready values: dotted simplex key -> rational text."""
+        return {
+            ".".join(map(str, spx)): format_rational(value)
+            for spx, value in self.items()
+        }
 
     @property
     def is_zero(self) -> bool:
@@ -292,19 +305,13 @@ def homology(complex_: SimplicialComplex, degree: int) -> HomologyGroup:
     else:
         kernel_dim = n_here - linalg.rank(complex_.boundary_matrix(degree))
     next_boundary = complex_.boundary_matrix(degree + 1)
-    if next_boundary and next_boundary[0]:
-        rational_rank = linalg.rank(next_boundary)
-        factors = linalg.smith_normal_form(
-            [[int(x) for x in row] for row in next_boundary]
+    rational_rank = linalg.rank(next_boundary)
+    factors = linalg.smith_normal_form(next_boundary)
+    if len(factors) != rational_rank:
+        raise AssertionError(
+            "Smith rank disagrees with rational rank: "
+            f"{len(factors)} vs {rational_rank}"
         )
-        if len(factors) != rational_rank:
-            raise AssertionError(
-                "Smith rank disagrees with rational rank: "
-                f"{len(factors)} vs {rational_rank}"
-            )
-    else:
-        rational_rank = 0
-        factors = []
     torsion = tuple(sorted(d for d in factors if d > 1))
     return HomologyGroup(degree, kernel_dim - rational_rank, torsion)
 
@@ -312,36 +319,28 @@ def homology(complex_: SimplicialComplex, degree: int) -> HomologyGroup:
 def cohomology_basis(complex_: SimplicialComplex, degree: int) -> list[Cochain]:
     """Rational cochains spanning closed-mod-exact in one degree.
 
-    Returns one representative per class: kernel vectors of the coboundary
-    that are independent modulo the image of the previous coboundary.
+    Returns one representative per class: the kernel vectors of the
+    coboundary, in nullspace order, that are independent of the exact
+    cochains and of the kernel vectors before them.  One elimination of the
+    columns [exact cochains | kernel vectors] finds them all: they are the
+    pivot columns after the exact block.
     """
     spxs = complex_.simplices(degree)
     if not spxs:
         return []
-    # coboundary matrix out of this degree = transpose of the next boundary
+    # coboundary matrix out of this degree = transpose of the next boundary;
+    # with no next simplices it is zero and every cochain is closed
     up = linalg.transpose(complex_.boundary_matrix(degree + 1))
-    if not up:
-        kernel = [
-            [Fraction(int(i == j)) for j in range(len(spxs))] for i in range(len(spxs))
-        ]
-    else:
-        kernel = linalg.nullspace(up)
-    down_cols: list[list[Fraction]] = []
-    if degree > 0:
-        # Exact cochains span the columns of the previous coboundary matrix,
-        # i.e. the rows of this degree's boundary matrix.
-        down_cols = [list(row) for row in complex_.boundary_matrix(degree)]
-    basis_rows: list[list[Fraction]] = [row for row in down_cols if any(x != 0 for x in row)]
-    current_rank = linalg.rank(basis_rows) if basis_rows else 0
-    out: list[Cochain] = []
-    for vec in kernel:
-        candidate = basis_rows + [vec]
-        new_rank = linalg.rank(candidate)
-        if new_rank > current_rank:
-            basis_rows = candidate
-            current_rank = new_rank
-            out.append(Cochain(degree, {s: v for s, v in zip(spxs, vec) if v != 0}))
-    return out
+    kernel = linalg.nullspace(up or [[0] * len(spxs)])
+    # Exact cochains span the columns of the previous coboundary matrix,
+    # i.e. the rows of this degree's boundary matrix.
+    exact = complex_.boundary_matrix(degree) if degree > 0 else []
+    _, pivots = linalg.rref(linalg.transpose(exact + kernel))
+    return [
+        Cochain(degree, dict(zip(spxs, kernel[p - len(exact)])))
+        for p in pivots
+        if p >= len(exact)
+    ]
 
 
 @dataclass(frozen=True)
@@ -421,10 +420,6 @@ def complex_from_json(text: str) -> SimplicialComplex:
     return SimplicialComplex(json.loads(text))
 
 
-def _simplex_key(simplex: Simplex) -> str:
-    return ".".join(str(v) for v in simplex)
-
-
 def _parse_simplex_key(key: str) -> Simplex:
     return tuple(int(part) for part in key.split("."))
 
@@ -433,7 +428,7 @@ def cochain_to_json(cochain: Cochain) -> str:
     return json.dumps(
         {
             "degree": cochain.degree,
-            "values": {_simplex_key(s): format_rational(v) for s, v in cochain.items()},
+            "values": cochain.payload(),
         },
         sort_keys=True,
     )
@@ -451,7 +446,7 @@ def chain_to_json(chain: Chain) -> str:
     return json.dumps(
         {
             "degree": chain.degree,
-            "coeffs": {_simplex_key(s): format_rational(v) for s, v in chain.items()},
+            "coeffs": chain.payload(),
         },
         sort_keys=True,
     )

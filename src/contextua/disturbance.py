@@ -97,7 +97,7 @@ def decompose_with_eta(
                 raise ValueError(f"chart map missing vertex {v}")
     kept = [e for e in edges if charts[e[0]] == charts[e[1]]]
 
-    potential = _potential(complex_, xi, kept, oc.base_vertex)
+    potential = _potential(complex_, xi, kept)
     residual = xi - ddg.coboundary(complex_, potential)
     kept_set = set(kept)
     omega = ddg.Cochain(1, {e: residual[e] for e in kept_set})

@@ -62,13 +62,12 @@ class ResponsePolytope:
     and one equality per effect dependence.
 
     ``vertices`` is the irredundant, lexicographically sorted extreme-point
-    list; ``constraints`` the defining rows as (coefficients, op, rhs) over
-    effect indices.  ``status`` is "empty" when the system is inconsistent.
+    list over effect indices.  ``status`` is "empty" when the system is
+    inconsistent.
     """
 
     status: str
     vertices: tuple[tuple[Fraction, ...], ...]
-    constraints: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
 
     @property
     def is_empty(self) -> bool:
@@ -172,16 +171,9 @@ def response_vertices(
                 raise ValueError(f"equivalence references missing effect {r}")
         equalities.append((tuple(row), rhs))
 
-    constraints: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
-    for r in range(n):
-        unit = tuple(_ONE if j == r else _ZERO for j in range(n))
-        constraints.append((unit, ">=", _ZERO))
-        constraints.append((unit, "<=", _ONE))
-    constraints.extend((row, "=", rhs) for row, rhs in equalities)
-
     reduced, pivots = linalg.rref([[*row, rhs] for row, rhs in equalities])
     if pivots and pivots[-1] == n:  # a row 0 = 1: no solution at all
-        return ResponsePolytope("empty", (), tuple(constraints))
+        return ResponsePolytope("empty", ())
     free = [j for j in range(n) if j not in pivots]
     rows = [([row[j] for j in free], row[n]) for row in reduced[: len(pivots)]]
     extras = []
@@ -196,7 +188,7 @@ def response_vertices(
         found.add(tuple(x[r] for r in range(n)))
     vertices = sorted(found)
     status = "ok" if vertices else "empty"
-    return ResponsePolytope(status, tuple(vertices), tuple(constraints))
+    return ResponsePolytope(status, tuple(vertices))
 
 
 # ---------------------------------------------------------------------------

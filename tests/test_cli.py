@@ -177,6 +177,32 @@ def test_homology_of_a_hollow_triangle(capsys, tmp_path):
     assert json.loads(out) == {"betti": 1, "degree": 1, "torsion": []}
 
 
+def test_complex_files_over_the_face_cap_exit_2(capsys, tmp_path):
+    at_cap = tmp_path / "at_cap.json"
+    at_cap.write_text(json.dumps([list(range(10))]))  # 2**10 - 1 faces
+    code, out, _ = run(capsys, "homology", str(at_cap), "--n", "0", "--json")
+    assert code == 0 and json.loads(out)["betti"] == 1
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps([list(range(11))]))  # 2**11 - 1 faces
+    code, out, err = run(capsys, "homology", str(over), "--n", "0")
+    assert code == 2 and out == ""
+    assert "bad complex file" in err and str(cli.COMPLEX_CLI_MAX_FACES) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_face_cap_is_checked_before_any_closure(capsys, tmp_path, monkeypatch):
+    def refuse(simplices):
+        raise AssertionError("a capped complex must not be closed")
+
+    monkeypatch.setattr(cli.ddg, "SimplicialComplex", refuse)
+    path = tmp_path / "thirty.json"
+    path.write_text(json.dumps([list(range(30))]))
+    for argv in (["homology", str(path)], ["vorobyev", "--generalized", str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "command-line cap" in err
+        assert len(err.splitlines()) == 1
+
+
 def test_vorobyev_subcommand_paths(capsys, tmp_path):
     cycle = tmp_path / "cycle.json"
     cycle.write_text(

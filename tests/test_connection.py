@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from random import Random
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from contextua.core_model import (
     OperationalEquivalence,
     effect_equivalences,
 )
+from contextua.scenarios import random_complex
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -89,7 +91,7 @@ def test_three_term_dependence_is_a_triangle_with_one_cell():
     assert len(eqs) == 1
     oc = build_object_complex("effect", f, eqs, "geometrical")
     assert len(oc.complex.simplices(2)) == 1
-    assert oc.filled == (True,)
+    assert oc.view == "geometrical"
     eq_id, loop = oc.loops[0]
     assert ddg.boundary(oc.complex, loop).is_zero
     assert ddg.boundary(oc.complex, oc.disks[0]) == loop
@@ -115,7 +117,7 @@ def test_topological_view_attaches_no_cells():
     f = bit_fragment()
     oc = build_object_complex("effect", f, effect_equivalences(f), "topological")
     assert oc.complex.simplices(2) == ()
-    assert oc.filled == (False,)
+    assert oc.view == "topological"
     assert oc.disks[0].is_zero
 
 
@@ -188,7 +190,7 @@ def test_decomposition_recomposes_and_is_gauge_invariant(setup):
         divergence[a] -= dec.connection[(a, b)]
     assert all(v == 0 for v in divergence.values())
     # base gauge fixed
-    assert dec.potential[(oc.base_vertex,)] == 0
+    assert dec.potential[(0,)] == 0
 
 
 @settings(max_examples=50)
@@ -454,3 +456,22 @@ def test_decomposition_report_shape():
     for key in report["connection"]:
         a, b = key.split(".")
         assert (int(a), int(b)) in oc.complex
+
+
+def test_one_gauge_the_first_vertex_of_each_component():
+    def rational(rng):
+        return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for seed in range(64):
+        k = random_complex(Random(seed))
+        rng = Random(1000 + seed)
+        w = ddg.Cochain(0, {(v,): rational(rng) for v in k.vertices})
+        xi = ddg.coboundary(k, w)
+        dec = decompose_cochain(k, xi)
+        assert dec.potential == ddg.is_exact(k, xi).potential
+        assert dec.connection.is_zero
+        edges = ddg.Cochain(1, {e: rational(rng) for e in k.simplices(1)})
+        dec = decompose_cochain(k, edges)
+        assert dec.recomposed() == edges
+        for component in k.components():
+            assert dec.potential[(component[0],)] == 0

@@ -10,7 +10,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contextua import ddg
+from random import Random
+
+from contextua import ddg, linalg
 from contextua.ddg import (
     Chain,
     Cochain,
@@ -23,6 +25,7 @@ from contextua.ddg import (
     is_exact,
     pair,
 )
+from contextua.scenarios import random_complex
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -200,6 +203,48 @@ def test_cohomology_basis_examples():
     assert cohomology_basis(SimplicialComplex([(1, 2, 3)]), 1) == []
     two = SimplicialComplex([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     assert len(cohomology_basis(two, 1)) == 2
+
+
+def _greedy_cohomology_basis(k, degree):
+    """Reference: rank the growing stack once per kernel vector."""
+    spxs = k.simplices(degree)
+    if not spxs:
+        return []
+    up = linalg.transpose(k.boundary_matrix(degree + 1))
+    if up:
+        kernel = linalg.nullspace(up)
+    else:
+        kernel = [[Fraction(int(i == j)) for j in spxs] for i in spxs]
+    stack = list(k.boundary_matrix(degree)) if degree > 0 else []
+    current = linalg.rank(stack) if stack else 0
+    out = []
+    for vec in kernel:
+        if linalg.rank(stack + [vec]) > current:
+            stack.append(vec)
+            current += 1
+            out.append(Cochain(degree, dict(zip(spxs, vec))))
+    return out
+
+
+def test_cohomology_basis_matches_a_rank_per_vector_reference():
+    for seed in range(300):
+        k = random_complex(Random(seed))
+        for n in range(k.dimension + 1):
+            assert cohomology_basis(k, n) == _greedy_cohomology_basis(k, n)
+
+
+def test_boundary_matrices_are_integer():
+    k = SimplicialComplex(PROJECTIVE_PLANE)
+    for n in range(1, 4):
+        assert all(type(x) is int for row in k.boundary_matrix(n) for x in row)
+
+
+def test_components_of_a_graph():
+    assert ddg.components([5, 1, 3, -2, 4], [(1, 5), (4, 5)]) == [
+        (-2,), (1, 4, 5), (3,)
+    ]
+    k = SimplicialComplex([(1, 2), (2, 3), (7, 8), (9,)])
+    assert k.components() == [(1, 2, 3), (7, 8), (9,)]
 
 
 def test_cohomology_basis_elements_are_closed_and_not_exact():

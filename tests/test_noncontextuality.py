@@ -159,13 +159,9 @@ def test_vertices_match_brute_force_enumeration(fragment):
     polytope = response_vertices(fragment, eqs)
     assert set(polytope.vertices) == _brute_force_vertices(fragment, eqs)
     for vertex in polytope.vertices:
-        for coeffs, op, rhs in polytope.constraints:
-            lhs = sum(c * x for c, x in zip(coeffs, vertex))
-            assert (
-                lhs == rhs
-                if op == "="
-                else lhs <= rhs if op == "<=" else lhs >= rhs
-            )
+        assert all(0 <= x <= 1 for x in vertex)
+        for coeffs, rhs in _constraint_rows(fragment, eqs):
+            assert sum(c * x for c, x in zip(coeffs, vertex)) == rhs
 
 
 @pytest.mark.parametrize(
@@ -466,8 +462,18 @@ def test_negativity_anchors(pr_results):
     assert pr_negativity == 1  # regression value
 
 
-def test_gbit_negativity_against_scipy():
-    f = gbit()
+@pytest.mark.parametrize("case", ["gbit", "pr", "noisy"])
+def test_negativity_against_scipy(case, request):
+    """HiGHS on the same LP, against the exact negativity of gbit, the PR
+    fragment (w = 1) and the noisy PR fragment (w = 3/4); the PR values come
+    from the module fixtures, so no further exact LP is solved."""
+    if case == "gbit":
+        f = gbit()
+        _, exact = minimal_negativity(f)
+    elif case == "pr":
+        f, _, (_, exact) = request.getfixturevalue("pr_results")
+    else:
+        f, _, (_, exact) = request.getfixturevalue("noisy_results")["strong"]
     vertices = response_vertices(f).vertices
     n_lam, n_s = len(vertices), len(f.states)
     cols = 2 * n_lam * n_s  # plus then minus, interleaved per (lam, s)
@@ -503,7 +509,6 @@ def test_gbit_negativity_against_scipy():
         bounds=[(0, None)] * cols, method="highs",
     )
     assert result.success
-    _, exact = minimal_negativity(f)
     assert abs(result.fun - float(exact)) < 1e-7
 
 
