@@ -360,10 +360,9 @@ def _emit_random(name: str, seed: int) -> str:
 
 def _cmd_scenarios(args):
     if args.action == "list":
-        names = sorted(SCENARIOS) + sorted(_RANDOM_KINDS)
         rows = [
             {"name": name, "kind": SCENARIOS[name][0] if name in SCENARIOS else _RANDOM_KINDS[name]}
-            for name in sorted(names)
+            for name in sorted([*SCENARIOS, *_RANDOM_KINDS])
         ]
         return {"scenarios": rows}, False
     if args.name is None:

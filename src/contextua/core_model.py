@@ -11,6 +11,7 @@ respect them.  Everything here is pure and exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -404,14 +405,44 @@ def verify_ontic(
 # ---------------------------------------------------------------------------
 # empirical models
 
+
+def assignments(names: Sequence[str], outcomes: Mapping[str, int]):
+    """Joint outcomes of ``names`` in row-major order (the last name varies
+    fastest): the layout of every context table."""
+    return product(*(range(outcomes[m]) for m in names))
+
+
+def _flat_index(names: Sequence[str], outcomes: Mapping[str, int], assignment) -> int:
+    flat = 0
+    for m, o in zip(names, assignment):
+        flat = flat * outcomes[m] + o
+    return flat
+
+
+def restriction(
+    names: Sequence[str], onto: Sequence[str], outcomes: Mapping[str, int]
+) -> list[int]:
+    """For each joint outcome of ``names``, in row-major order, the
+    row-major position of its restriction to ``onto``.  A measurement of
+    ``onto`` missing from ``names`` raises ValueError."""
+    missing = [m for m in onto if m not in names]
+    if missing:
+        raise ValueError(f"{missing} not in context {names}")
+    positions = [names.index(m) for m in onto]
+    return [
+        _flat_index(onto, outcomes, [a[p] for p in positions])
+        for a in assignments(names, outcomes)
+    ]
+
+
 @dataclass(frozen=True)
 class EmpiricalModel:
     """Per-context joint outcome tables over a compatibility hypergraph.
 
     Outcomes of measurement ``m`` are labelled ``0 .. outcomes[m] - 1``;
     context tables are flattened row-major in the context's measurement
-    order.  Marginals onto sub-contexts are always defined, also for
-    disturbing models.
+    order (see :func:`assignments` and :func:`restriction`).  Marginals onto
+    sub-contexts are always defined, also for disturbing models.
     """
 
     hypergraph: CompatibilityHypergraph
@@ -427,9 +458,7 @@ class EmpiricalModel:
             if self.outcomes.get(m, 0) < 1:
                 raise ValueError(f"measurement {m!r} needs a positive outcome count")
         for i, context in enumerate(self.hypergraph.contexts):
-            size = 1
-            for m in context:
-                size *= self.outcomes[m]
+            size = math.prod(self.outcomes[m] for m in context)
             table = self.tables[i]
             if len(table) != size:
                 raise ValueError(
@@ -441,34 +470,38 @@ class EmpiricalModel:
                 raise ValueError(f"table {i} sums to {sum(table)}, expected 1")
 
     def assignments(self, context: Sequence[str]):
-        return product(*(range(self.outcomes[m]) for m in context))
+        return assignments(context, self.outcomes)
 
     def table_value(self, ctx_index: int, assignment: Sequence[int]) -> Fraction:
         context = self.hypergraph.contexts[ctx_index]
         if len(assignment) != len(context):
             raise ValueError("assignment length must match the context")
-        flat = 0
         for m, o in zip(context, assignment):
             if not 0 <= o < self.outcomes[m]:
                 raise ValueError(f"outcome {o} out of range for {m!r}")
-            flat = flat * self.outcomes[m] + o
-        return self.tables[ctx_index][flat]
+        return self.tables[ctx_index][_flat_index(context, self.outcomes, assignment)]
 
     def marginal(
         self, ctx_index: int, onto: Sequence[str]
     ) -> dict[tuple[int, ...], Fraction]:
         """Marginal distribution of one context table onto a subset of it."""
         context = self.hypergraph.contexts[ctx_index]
-        missing = [m for m in onto if m not in context]
-        if missing:
-            raise ValueError(f"{missing} not in context {context}")
-        positions = [context.index(m) for m in onto]
-        table = self.tables[ctx_index]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for flat, assignment in enumerate(self.assignments(context)):
-            key = tuple(assignment[p] for p in positions)
-            out[key] = out.get(key, Fraction(0)) + table[flat]
-        return out
+        positions = restriction(context, onto, self.outcomes)
+        sums = [Fraction(0)] * math.prod(self.outcomes[m] for m in onto)
+        for pos, p in zip(positions, self.tables[ctx_index]):
+            sums[pos] += p
+        return dict(zip(assignments(onto, self.outcomes), sums))
+
+
+def submodel(model: EmpiricalModel, masses, weight: Fraction) -> EmpiricalModel | None:
+    """The tables ``masses / weight`` on ``model``'s scenario; None at weight 0."""
+    if weight == 0:
+        return None
+    return EmpiricalModel(
+        model.hypergraph,
+        dict(model.outcomes),
+        tuple(tuple(x / weight for x in mass) for mass in masses),
+    )
 
 
 class DisturbingModelError(ValueError):
@@ -542,20 +575,22 @@ def _rational_in(x) -> Fraction:
     return parse_rational(x) if isinstance(x, str) else Fraction(x)
 
 
-def _index_in(x) -> int:
-    if type(x) is not int:
-        raise ValueError(f"effect index {x!r} is not an integer")
+def _int_in(x, what: str) -> int:
+    if type(x) is not int:  # JSON integers only: no bool, float or string
+        raise ValueError(f"{what} {x!r} is not an integer")
     return x
 
 
 def fragment_from_json(text: str) -> GptFragment:
     payload = json.loads(text)
     return GptFragment(
-        dimension=int(payload["dimension"]),
+        dimension=_int_in(payload["dimension"], "dimension"),
         states=tuple(tuple(map(_rational_in, v)) for v in payload["states"]),
         effects=tuple(tuple(map(_rational_in, v)) for v in payload["effects"]),
         unit_effect=tuple(map(_rational_in, payload["unit_effect"])),
-        measurements=tuple(tuple(map(_index_in, m)) for m in payload["measurements"]),
+        measurements=tuple(
+            tuple(_int_in(r, "effect index") for r in m) for m in payload["measurements"]
+        ),
         transformations=tuple(
             tuple(tuple(map(_rational_in, row)) for row in t)
             for t in payload.get("transformations", [])
@@ -584,6 +619,9 @@ def model_from_json(text: str) -> EmpiricalModel:
     )
     return EmpiricalModel(
         hypergraph=CompatibilityHypergraph(measurements, contexts),
-        outcomes={k: int(v) for k, v in payload["outcomes"].items()},
+        outcomes={
+            k: _int_in(v, f"measurement {k!r} outcome count")
+            for k, v in payload["outcomes"].items()
+        },
         tables=tables,
     )

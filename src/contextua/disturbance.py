@@ -15,7 +15,13 @@ from typing import Mapping
 
 from . import ddg
 from .connection import ConnectionDecomposition, ObjectComplex, _potential
-from .core_model import EmpiricalModel, context_overlaps, detect_disturbance
+from .core_model import (
+    EmpiricalModel,
+    context_overlaps,
+    detect_disturbance,
+    restriction,
+    submodel,
+)
 from .lp import LinearProgram
 from .noncontextuality import FractionReport, Limits, contextual_fraction
 from .vorobyev import CompatibilityHypergraph
@@ -140,16 +146,14 @@ def fractions_with_disturbance(
             {**{var: 1 for var in row}, "t": -1}, "=", 0
         )
     for i, j, shared in context_overlaps(h):
-        for key in model.assignments(shared):
-            coeffs: dict[str, Fraction] = {}
-            for ctx_index, sign in ((i, 1), (j, -1)):
-                context = h.contexts[ctx_index]
-                positions = [context.index(name) for name in shared]
-                for flat, assignment in enumerate(model.assignments(context)):
-                    if tuple(assignment[p] for p in positions) == key:
-                        var = names[ctx_index][flat]
-                        coeffs[var] = coeffs.get(var, Fraction(0)) + sign
-            program.add_constraint(coeffs, "=", 0)
+        # one agreement row per joint outcome of the shared measurements
+        rows: list[dict[str, Fraction]] = [{} for _ in model.assignments(shared)]
+        for ctx_index, sign in ((i, 1), (j, -1)):
+            positions = restriction(h.contexts[ctx_index], shared, model.outcomes)
+            for var, pos in zip(names[ctx_index], positions):
+                rows[pos][var] = sign
+        for row in rows:
+            program.add_constraint(row, "=", 0)
     solution = program.solve()
     if solution.status != "optimal":
         raise AssertionError(
@@ -160,34 +164,16 @@ def fractions_with_disturbance(
         tuple(solution.assignment.get(var, Fraction(0)) for var in row)
         for row in names
     )
-
-    leftover = None
-    if t < 1:
-        leftover = EmpiricalModel(
-            h,
-            dict(model.outcomes),
-            tuple(
-                tuple(
-                    (p - u) / (1 - t)
-                    for p, u in zip(model.tables[i], common[i])
-                )
-                for i in range(len(h.contexts))
-            ),
-        )
-    if t == 0:
+    remainder = [
+        [p - u for p, u in zip(table, mass)]
+        for table, mass in zip(model.tables, common)
+    ]
+    leftover = submodel(model, remainder, 1 - t)
+    agreeing = submodel(model, common, t)
+    if agreeing is None:
         return FractionReport(
-            ncf=Fraction(0),
-            cf=Fraction(0),
-            df=Fraction(1),
-            p_nc=None,
-            p_sc=None,
-            p_d=leftover,
+            Fraction(0), Fraction(0), Fraction(1), None, None, p_d=leftover
         )
-    agreeing = EmpiricalModel(
-        h,
-        dict(model.outcomes),
-        tuple(tuple(u / t for u in row) for row in common),
-    )
     inner = contextual_fraction(agreeing, limits=limits)
     return FractionReport(
         ncf=t * inner.ncf,

@@ -13,6 +13,7 @@ certification path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -28,7 +29,9 @@ from .core_model import (
     assert_nondisturbing,
     effect_equivalences,
     probability,
+    restriction,
     state_equivalences,
+    submodel,
     validate_fragment,
 )
 from .lp import LinearProgram, LpSolution
@@ -314,21 +317,6 @@ class FractionReport:
                 raise AssertionError(f"fraction {part} lies outside [0, 1]")
 
 
-def _global_assignments(m: EmpiricalModel, limits: Limits):
-    names = m.hypergraph.measurements
-    count = 1
-    for name in names:
-        count *= m.outcomes[name]
-        if count > limits.assignments:
-            raise ScaleCapError(
-                f"scale cap: more than {limits.assignments} global assignments"
-            )
-    return [
-        dict(zip(names, combo))
-        for combo in product(*(range(m.outcomes[x]) for x in names))
-    ]
-
-
 def contextual_fraction(
     m: EmpiricalModel, *, limits: Limits = Limits()
 ) -> FractionReport:
@@ -340,20 +328,16 @@ def contextual_fraction(
     the two normalized parts recompose the input exactly.
     """
     assert_nondisturbing(m)
-    assignments = _global_assignments(m, limits)
     h = m.hypergraph
+    count = math.prod(m.outcomes[x] for x in h.measurements)
+    if count > limits.assignments:
+        raise ScaleCapError(
+            f"scale cap: more than {limits.assignments} global assignments"
+        )
     # restrictions[i][g]: the entry of context i that assignment g lands on
-    restrictions = []
-    for context in h.contexts:
-        column = []
-        for assignment in assignments:
-            flat = 0
-            for x in context:
-                flat = flat * m.outcomes[x] + assignment[x]
-            column.append(flat)
-        restrictions.append(column)
+    restrictions = [restriction(h.measurements, c, m.outcomes) for c in h.contexts]
     program = LinearProgram("max")
-    for g in range(len(assignments)):
+    for g in range(count):
         program.add_variable(f"w_{g}", objective=1)
     for table, column in zip(m.tables, restrictions):
         rows: list[dict[str, Fraction]] = [{} for _ in table]
@@ -379,16 +363,10 @@ def contextual_fraction(
         for g, flat in enumerate(column):
             mass[flat] += solution.assignment[f"w_{g}"]
         masses.append(mass)
-    p_nc = p_sc = None
-    if ncf > 0:
-        tables = tuple(tuple(x / ncf for x in mass) for mass in masses)
-        p_nc = EmpiricalModel(h, dict(m.outcomes), tables)
-    if cf > 0:
-        tables = tuple(
-            tuple((p - x) / cf for p, x in zip(table, mass))
-            for table, mass in zip(m.tables, masses)
-        )
-        p_sc = EmpiricalModel(h, dict(m.outcomes), tables)
+    remainder = [
+        [p - x for p, x in zip(table, mass)] for table, mass in zip(m.tables, masses)
+    ]
+    p_nc, p_sc = submodel(m, masses, ncf), submodel(m, remainder, cf)
     return FractionReport(ncf=ncf, cf=cf, df=_ZERO, p_nc=p_nc, p_sc=p_sc)
 
 

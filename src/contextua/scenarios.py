@@ -21,6 +21,7 @@ from .core_model import (
     GptFragment,
     OnticRepresentation,
     assert_nondisturbing,
+    assignments,
     probability,
     validate_fragment,
 )
@@ -376,10 +377,7 @@ def chsh_value(m: EmpiricalModel) -> Fraction:
     values = []
     for i in range(4):
         e = _ZERO
-        for (a, b), p in zip(
-            ((0, 0), (0, 1), (1, 0), (1, 1)),
-            m.tables[i],
-        ):
+        for (a, b), p in zip(m.assignments(m.hypergraph.contexts[i]), m.tables[i]):
             e += p if a == b else -p
         values.append(e)
     return values[0] + values[1] + values[2] - values[3]
@@ -422,7 +420,7 @@ def product_model(
     tables = []
     for context in h.contexts:
         table = []
-        for assignment in _assignments(context, outcomes):
+        for assignment in assignments(context, outcomes):
             p = _ONE
             for m, o in zip(context, assignment):
                 p *= Fraction(marginals[m][o])
@@ -472,12 +470,6 @@ def two_slit_measure(amplitude_a: complex, amplitude_b: complex) -> EventMeasure
 
 # ---------------------------------------------------------------------------
 # random corpora
-
-
-def _assignments(context: Sequence[str], outcomes: Mapping[str, int]):
-    from itertools import product
-
-    return product(*(range(outcomes[m]) for m in context))
 
 
 def _random_distribution(rng: Random, k: int) -> tuple[Fraction, ...]:
@@ -565,6 +557,10 @@ def _rip_order(h: CompatibilityHypergraph) -> list[int]:
 def _table_marginal(
     table: dict, context: Sequence[str], onto: Sequence[str]
 ) -> dict:
+    # Not EmpiricalModel.marginal: the keys come in the table dict's
+    # insertion order, and random_nondisturbing_model draws one conditional
+    # per key in that order.  Row-major keys would reorder the draws and
+    # change every model (and benchmark input) generated from a seed.
     positions = [list(context).index(m) for m in onto]
     out: dict[tuple[int, ...], Fraction] = {}
     for assignment, p in table.items():
@@ -605,7 +601,7 @@ def random_nondisturbing_model(
                     j for j in placed if set(shared) <= set(h.contexts[j])
                 )
                 base = _table_marginal(tables[anchor], h.contexts[anchor], shared)
-            rest_keys = list(_assignments(rest, outcomes))
+            rest_keys = list(assignments(rest, outcomes))
             table: dict[tuple[int, ...], Fraction] = {}
             for shared_key, mass in base.items():
                 conditional = _random_distribution(rng, len(rest_keys))
@@ -634,7 +630,7 @@ def random_nondisturbing_model(
         flat.append(
             tuple(
                 tables[idx].get(assignment, _ZERO)
-                for assignment in _assignments(context, outcomes)
+                for assignment in assignments(context, outcomes)
             )
         )
     return _check_model(

@@ -106,7 +106,6 @@ def graham_reduce(
             continue
         break
     remaining = sorted({m for c in contexts for m in c})
-    # Deduplicate identical contexts defensively (rule 2 already handles them).
     reduced = CompatibilityHypergraph(tuple(remaining), tuple(tuple(c) for c in contexts))
     return reduced, trace
 

@@ -462,6 +462,21 @@ def test_input_error_exit_codes(capsys, tmp_path):
     huge.write_text(open(bit).read().replace('"effects": [[1, 0]', '"effects": [[1e400, 0]'))
     code, _, err = run(capsys, "validate", str(huge))
     assert code == 2 and "bad fragment file" in err and len(err.splitlines()) == 1
+
+    # integer fields take JSON integers only: no float, string, bool or 1e300
+    box = json.loads(open(emit(capsys, tmp_path, "pr-box")).read())
+    for value in (3.9, "3", True, 1e300):
+        payload = json.loads(open(bit).read())
+        payload["dimension"] = value
+        huge.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "validate", str(huge))
+        assert code == 2 and err.endswith(f"dimension {value!r} is not an integer\n")
+        assert len(err.splitlines()) == 1 and len(err) < len(str(huge)) + 100
+        payload = dict(box, outcomes=dict(box["outcomes"], a0=value))
+        huge.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "fraction", str(huge))
+        assert code == 2 and err.endswith(f"count {value!r} is not an integer\n")
+        assert len(err.splitlines()) == 1 and len(err) < len(str(huge)) + 100
     huge.write_text(open(planted).read().replace('"1/8"', "1e400", 1))
     code, _, err = run(capsys, "fraction", str(huge))
     assert code == 2 and "bad model file" in err and len(err.splitlines()) == 1

@@ -1,5 +1,7 @@
+import itertools
 import json
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 import sympy
@@ -23,6 +25,7 @@ from contextua.core_model import (
     model_from_json,
     model_to_json,
     probability,
+    restriction,
     state_equivalences,
     validate_fragment,
     verify_ontic,
@@ -414,6 +417,55 @@ def test_table_value_row_major_order():
         m.table_value(0, (0, 2))
     with pytest.raises(ValueError):
         m.marginal(0, ("z",))
+
+
+def test_restriction_matches_a_tuple_lookup():
+    rng = Random(11)
+    for _ in range(200):
+        names = tuple(f"m{i}" for i in range(rng.randint(0, 4)))
+        outcomes = {m: rng.randint(1, 3) for m in names}
+        onto = rng.sample(names, rng.randint(0, len(names)))  # permuted order
+        joint = list(itertools.product(*(range(outcomes[m]) for m in names)))
+        keys = list(itertools.product(*(range(outcomes[m]) for m in onto)))
+        expected = [
+            keys.index(tuple(a[names.index(m)] for m in onto)) for a in joint
+        ]
+        assert restriction(names, onto, outcomes) == expected
+    with pytest.raises(ValueError, match="'z'"):
+        restriction(("x", "y"), ("y", "z"), {"x": 2, "y": 2, "z": 2})
+
+
+def _grouped_marginal(m, i, onto):
+    """Reference marginal: group the joint outcomes of context i by key."""
+    context = m.hypergraph.contexts[i]
+    joint = itertools.product(*(range(m.outcomes[x]) for x in context))
+    out = {}
+    for a, p in zip(joint, m.tables[i]):
+        key = tuple(a[context.index(x)] for x in onto)
+        out[key] = out.get(key, F(0)) + p
+    return out
+
+
+def test_marginal_matches_a_grouping_reference():
+    from contextua.scenarios import (
+        chsh_quantum,
+        kcbs_quantum,
+        nudged_box,
+        planted_gap_model,
+        random_acyclic_hypergraph,
+        random_nondisturbing_model,
+    )
+
+    models = [pr_box_model(), chsh_quantum(), kcbs_quantum()]
+    models += [planted_gap_model(F(1, 8)), nudged_box(F(1, 4))]
+    for k in range(10):
+        h = random_acyclic_hypergraph(Random(k), max_measurements=5)
+        models.append(random_nondisturbing_model(h, Random(100 + k)))
+    for m in models:
+        for i, context in enumerate(m.hypergraph.contexts):
+            for r in range(len(context) + 1):
+                for onto in itertools.permutations(context, r):
+                    assert m.marginal(i, onto) == _grouped_marginal(m, i, onto)
 
 
 def test_model_validation_rejects_bad_tables():

@@ -1,9 +1,11 @@
 """Disturbance detection, scenario extension, eta splits, and DF fractions."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
+from scipy.optimize import linprog
 
 from contextua import ddg
 from contextua.connection import (
@@ -304,3 +306,96 @@ def test_randomly_disturbed_models_stay_consistent():
         assert report.ncf + report.cf + report.df == 1
         assert (report.df > 0) == (detect_disturbance(disturbed) != [])
         recompose(report, disturbed)
+
+
+# -- the common-sub-mass LP against HiGHS --------------------------------------
+
+
+def highs_common_mass(model):
+    """Largest t with sub-tables u_i <= p_i of mass t agreeing on every
+    shared marginal, built apart from the package and solved in floats."""
+    h = model.hypergraph
+    joint = [
+        list(product(*(range(model.outcomes[x]) for x in c))) for c in h.contexts
+    ]
+    offsets = [1 + sum(len(j) for j in joint[:i]) for i in range(len(joint))]
+    width = 1 + sum(len(j) for j in joint)
+    rows = []
+    for i, assignments in enumerate(joint):
+        row = [0.0] * width
+        row[0] = -1.0
+        for k in range(len(assignments)):
+            row[offsets[i] + k] = 1.0
+        rows.append(row)
+    for i in range(len(h.contexts)):
+        for j in range(i + 1, len(h.contexts)):
+            shared = [x for x in h.contexts[i] if x in h.contexts[j]]
+            for key in product(*(range(model.outcomes[x]) for x in shared)):
+                row = [0.0] * width
+                for ctx, sign in ((i, 1.0), (j, -1.0)):
+                    context = h.contexts[ctx]
+                    positions = [context.index(x) for x in shared]
+                    for k, a in enumerate(joint[ctx]):
+                        if tuple(a[p] for p in positions) == key:
+                            row[offsets[ctx] + k] = sign
+                rows.append(row)
+    bounds = [(0, None)] + [(0, float(p)) for table in model.tables for p in table]
+    objective = [-1.0] + [0.0] * (width - 1)
+    result = linprog(
+        objective, A_eq=rows, b_eq=[0.0] * len(rows), bounds=bounds, method="highs"
+    )
+    assert result.status == 0
+    return -result.fun
+
+
+def skewed_cycle(rng, n, skew):
+    """Binary n-cycle whose first context moves c0's marginal by ``skew``;
+    the last context (c{n-1}, c0) holds c0 at position 1."""
+    names = tuple(f"c{i}" for i in range(n))
+    contexts = tuple((names[i], names[(i + 1) % n]) for i in range(n))
+    tables = []
+    for i in range(n):
+        c = F(rng.randint(-6, 6), 12)
+        agree, differ = (1 + c) / 4, (1 - c) / 4
+        shift = skew / 2 if i == 0 else F(0)
+        tables.append((agree + shift, differ + shift, differ - shift, agree - shift))
+    return EmpiricalModel(
+        CompatibilityHypergraph(names, contexts), {x: 2 for x in names}, tuple(tables)
+    )
+
+
+def random_table(rng, size):
+    weights = [rng.randint(0, 4) for _ in range(size)]
+    weights[rng.randrange(size)] += 1
+    return tuple(F(w, sum(weights)) for w in weights)
+
+
+def differential_models():
+    rng = Random(5)
+    for n in (4, 5):
+        for _ in range(4):
+            yield skewed_cycle(rng, n, F(rng.randint(1, 4), 16))
+    for g in (F(1, 8), F(1, 3), F(1)):
+        yield nudged_box(g)
+    for trial in range(8):
+        h = random_acyclic_hypergraph(Random(400 + trial), max_measurements=5)
+        m = random_nondisturbing_model(h, rng, outcomes={x: 2 for x in h.measurements})
+        tables = list(m.tables)
+        i = rng.randrange(len(tables))
+        t = F(rng.randrange(1, 4), 4)
+        corner = (F(1),) + (F(0),) * (len(tables[i]) - 1)
+        tables[i] = tuple((1 - t) * p + t * c for p, c in zip(tables[i], corner))
+        yield EmpiricalModel(h, dict(m.outcomes), tuple(tables))
+    # two contexts sharing the pair (b, c) in opposite orders
+    h = CompatibilityHypergraph(
+        ("a", "b", "c", "d"), (("a", "b", "c"), ("c", "b", "d"))
+    )
+    outcomes = {"a": 2, "b": 3, "c": 2, "d": 2}
+    for _ in range(4):
+        yield EmpiricalModel(h, outcomes, (random_table(rng, 12), random_table(rng, 12)))
+
+
+def test_disturbing_fraction_matches_highs():
+    for m in differential_models():
+        report = fractions_with_disturbance(m)
+        assert abs(float(report.df) - (1 - highs_common_mass(m))) < 1e-7

@@ -1,5 +1,6 @@
 """Generator library: exact anchors, quantum oracles, random corpora."""
 
+import hashlib
 import math
 from fractions import Fraction
 from random import Random
@@ -317,6 +318,24 @@ def test_random_model_on_a_cycle_uses_global_mixtures():
     for _ in range(10):
         m = random_nondisturbing_model(cycle, rng)
         assert_consistent(m)
+
+
+def test_random_models_are_pinned_by_seed():
+    # The benchmark's table inputs and many tests draw their models from
+    # random_nondisturbing_model.  A new digest means those inputs changed.
+    names = ("a", "b", "c", "d", "e")
+    cycle = CompatibilityHypergraph(
+        names, tuple((names[i], names[(i + 1) % 5]) for i in range(5))
+    )
+    text = []
+    for seed in range(20):
+        h = random_acyclic_hypergraph(Random(seed))
+        text.append(repr(random_nondisturbing_model(h, Random(seed))))
+        binary = {m: 2 for m in h.measurements}
+        text.append(repr(random_nondisturbing_model(h, Random(seed), binary)))
+        text.append(repr(random_nondisturbing_model(cycle, Random(seed))))
+    digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
+    assert digest == "87281d15fdc7c6342471933e9c74f73d4c8e51c58da30c8377fb08b92c8cef74"
 
 
 def test_random_fragments_validate_and_carry_dependencies():

@@ -1,0 +1,67 @@
+"""The scripts under scripts/: they start, and their reports match the library."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from contextua.disturbance import (
+    detect_disturbance,
+    extend_scenario,
+    fractions_with_disturbance,
+)
+from contextua.noncontextuality import contextual_fraction
+from contextua.scenarios import nudged_box, planted_gap_model
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ("corpus_summary.py", "disturbance_gap_report.py", "sweep_pr_noise.py")
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_help_exits_0(name):
+    done = run_script(name, "--help")
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout
+
+
+def test_disturbance_gap_report_matches_the_library():
+    done = run_script("disturbance_gap_report.py")
+    assert done.returncode == 0, done.stderr
+    families = {
+        "planted chain": planted_gap_model,
+        "nudged extremal box": nudged_box,
+    }
+    build = None
+    rows = 0
+    for line in done.stdout.splitlines():
+        fields = line.split()
+        if not fields or fields[0] == "param":
+            continue
+        title = next((t for t in families if line.startswith(t)), None)
+        if title is not None:
+            build = families[title]
+            continue
+        m = build(Fraction(fields[0]))
+        split = fractions_with_disturbance(m)
+        after = contextual_fraction(extend_scenario(m).model).cf
+        expected = [len(detect_disturbance(m)), split.ncf, split.cf, split.df, after]
+        assert fields[1:] == [str(x) for x in expected]
+        rows += 1
+    assert rows == 10
