@@ -247,7 +247,7 @@ def _potential(
     pinned = {component[0] for component in ddg.components(vertices, edges)}
     free = [i for i, v in enumerate(vertices) if v not in pinned]
     system = [[lap[i][j] for j in free] for i in free]
-    solution = linalg.solve(system, [rhs[i] for i in free])
+    solution = linalg.solve(system, [rhs[i] for i in free], len(free))
     if solution is None:
         raise AssertionError("reduced Laplacian system must be solvable")
     return ddg.Cochain(0, {(vertices[i],): x for i, x in zip(free, solution)})

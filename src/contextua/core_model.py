@@ -424,10 +424,12 @@ def restriction(
 ) -> list[int]:
     """For each joint outcome of ``names``, in row-major order, the
     row-major position of its restriction to ``onto``.  A measurement of
-    ``onto`` missing from ``names`` raises ValueError."""
+    ``onto`` missing from ``names``, or named twice in it, raises ValueError."""
     missing = [m for m in onto if m not in names]
     if missing:
         raise ValueError(f"{missing} not in context {names}")
+    if len(set(onto)) != len(onto):
+        raise ValueError(f"{list(onto)} names a measurement twice")
     positions = [names.index(m) for m in onto]
     return [
         _flat_index(onto, outcomes, [a[p] for p in positions])
@@ -458,11 +460,13 @@ class EmpiricalModel:
             if self.outcomes.get(m, 0) < 1:
                 raise ValueError(f"measurement {m!r} needs a positive outcome count")
         for i, context in enumerate(self.hypergraph.contexts):
-            size = math.prod(self.outcomes[m] for m in context)
             table = self.tables[i]
-            if len(table) != size:
+            # the product is not printed: outcome counts come from the
+            # input, and a long one would spell out an unbounded number
+            if len(table) != math.prod(self.outcomes[m] for m in context):
                 raise ValueError(
-                    f"table {i} has {len(table)} entries, expected {size}"
+                    f"table {i} has {len(table)} entries, not one per joint "
+                    f"outcome of its context"
                 )
             if any(x < 0 for x in table):
                 raise ValueError(f"table {i} has a negative entry")

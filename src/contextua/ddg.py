@@ -372,7 +372,7 @@ def is_exact(complex_: SimplicialComplex, cochain: Cochain) -> PotentialResult:
     lower = complex_.simplices(cochain.degree - 1)
     matrix = linalg.transpose(complex_.boundary_matrix(cochain.degree))
     rhs = [cochain[s] for s in complex_.simplices(cochain.degree)]
-    solution = linalg.solve(matrix, rhs)
+    solution = linalg.solve(matrix, rhs, len(lower))
     if solution is None:
         return PotentialResult("no_potential")
     potential = Cochain(

@@ -119,13 +119,21 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
     return basis
 
 
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:
+def solve(
+    matrix: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    ncols: int | None = None,
+) -> Vector | None:
     """One exact solution of ``matrix @ x = rhs``, or None if inconsistent.
 
-    Free variables (if any) are set to zero.
+    Free variables (if any) are set to zero.  ``ncols``, the number of
+    unknowns, is read off the rows; a matrix with no rows must state it,
+    and then every x of that length solves a zero right-hand side.
     """
     if not matrix:
-        return [] if all(b == 0 for b in rhs) else None
+        if ncols is None:
+            raise ValueError("a matrix with no rows needs its column count")
+        return [Fraction(0)] * ncols if all(b == 0 for b in rhs) else None
     ncols = len(matrix[0])
     aug = _integer_rows([*row, b] for row, b in zip(matrix, rhs))
     pivots, d = _rref_internal(aug)

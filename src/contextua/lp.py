@@ -3,21 +3,34 @@
 All variables are nonnegative; callers split free variables themselves.
 Infeasible problems come back with a Farkas certificate against the stored
 sign-fixed standard form: certificate . matrix >= 0 componentwise while
-certificate . rhs < 0, all exact.  The tableau holds stdlib Fractions.
+certificate . rhs < 0, all exact.
 
-A pivot updates the other rows in place, and only at the columns where the
-normalised pivot row is nonzero.  A zero pivot-row entry would change an
-entry x to x - f*0, which is x, so skipping it is exact: the tableau after
-each pivot, and therefore the entering and leaving variables that Bland's
-rule picks, the assignment and the Farkas certificate, are those of the
-full-row update.  The tableau rows are copies, so neither the constraint
-rows added to the program nor the stored standard form are ever written.
+The tableau holds rows of Python ints, each over its own positive
+denominator, so a row stands for ``ints / den``: every entry is exactly the
+rational a tableau of stdlib Fractions would hold.  Bland's rule reads only
+signs and ratios, and the ints give both directly.  The entering column is
+the first negative objective int.  A row's ratio b/a has the same value in
+its ints (the row's denominator cancels), and two ratios compare by cross
+multiplication.  Phase 1 finds the problem infeasible exactly when the
+objective's rhs int is negative.  So every pivot, the assignment and the
+Farkas certificate are those of the Fraction tableau; Fractions appear only
+in the standard form read in and in the numbers handed out.
+
+A pivot at (r, s) makes the pivot row's ints P positive at s and divides
+them by their gcd, which leaves the row P / p with p = P[s].  Each other row
+O / d with o = O[s] nonzero becomes (O*p - o*P) / (d*p), taken over the
+smaller denominator d*p/gcd(o, p) and reduced by the gcd of its ints and
+denominator whenever that denominator grows.  A row with o == 0 keeps its
+value, so it is left alone.  The tableau rows are built afresh and then
+updated in place, so neither the constraint rows added to the program nor
+the stored standard form are ever written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 _ZERO = Fraction(0)
@@ -42,21 +55,42 @@ class LpSolution:
     eq_rhs: tuple[Fraction, ...] | None = None
 
     def certificate_checks(self) -> bool:
-        """Exact Farkas re-verification: cert.A >= 0 componentwise, cert.b < 0."""
+        """Exact Farkas re-verification: cert.A >= 0 componentwise, cert.b < 0.
+
+        Replays the certificate against ``eq_matrix``/``eq_rhs`` alone, in
+        ints: each row scaled by the lcm of its denominators, every term
+        brought over the lcm of those, and the certificate over the lcm of
+        its own, none of which changes a sign.
+        """
         if self.status != "infeasible" or self.certificate is None:
             return False
-        cols = len(self.eq_matrix[0]) if self.eq_matrix else 0
-        for j in range(cols):
-            s = sum(
-                (y * row[j] for y, row in zip(self.certificate, self.eq_matrix)),
-                Fraction(0),
-            )
-            if s < 0:
-                return False
-        against_rhs = sum(
-            (y * b for y, b in zip(self.certificate, self.eq_rhs)), Fraction(0)
-        )
-        return against_rhs < 0
+        ys, _ = _over_lcm(self.certificate)
+        terms = [
+            (y, *_over_lcm(row + (b,)))
+            for y, row, b in zip(ys, self.eq_matrix, self.eq_rhs)
+            if y
+        ]
+        common = lcm(*(den for _, _, den in terms))
+        sums = [0] * (len(self.eq_matrix[0]) + 1)
+        for y, ints, den in terms:
+            w = y * (common // den)
+            sums = [s + w * x for s, x in zip(sums, ints)]
+        return all(s >= 0 for s in sums[:-1]) and sums[-1] < 0
+
+
+def _over_lcm(values):
+    """Fractions as (ints, den): den is the lcm of their denominators and
+    ``ints[j] / den == values[j]``."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _reduced(ints, den):
+    """The same row over the smallest denominator its ints allow."""
+    g = gcd(den, *ints)
+    if g == 1:
+        return ints, den
+    return [x // g for x in ints], den // g
 
 
 class LinearProgram:
@@ -122,25 +156,36 @@ class LinearProgram:
         eq_matrix = tuple(map(tuple, rows))
         eq_rhs = tuple(rhs)
 
-        # tableau: m constraint rows + objective row; columns = width originals
-        # + m artificials + rhs
-        tableau = [list(row) + [_ZERO] * m + [b] for row, b in zip(rows, rhs)]
-        for i in range(m):
-            tableau[i][width + i] = _ONE
+        # tableau: m constraint rows + objective row, each as ints over its
+        # own denominator; columns = width originals + m artificials + rhs
+        tableau, dens = [], []
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            ints, den = _over_lcm(row + [b])
+            artificial = [0] * m
+            artificial[i] = den
+            tableau.append(ints[:width] + artificial + ints[width:])
+            dens.append(den)
         basis = [width + i for i in range(m)]
 
-        # phase 1: minimize the artificial total
-        obj = [_ZERO] * (width + m + 1)
-        for j in range(width):
-            obj[j] = -sum((tableau[i][j] for i in range(m)), _ZERO)
-        obj[-1] = -sum((tableau[i][-1] for i in range(m)), _ZERO)
+        # phase 1: minimize the artificial total, summed over the lcm of
+        # the row denominators; the artificial columns stay 0
+        common = lcm(*dens)
+        obj = [0] * (width + m + 1)
+        for row, den in zip(tableau, dens):
+            scale = common // den
+            obj = [o - scale * x for o, x in zip(obj, row)]
+        obj[width : width + m] = [0] * m
+        obj, common = _reduced(obj, common)
         tableau.append(obj)
+        dens.append(common)
 
-        self._run_simplex(tableau, basis, width + m, allow_unbounded=False)
+        self._run_simplex(tableau, dens, basis, width + m, allow_unbounded=False)
 
-        phase1_value = -tableau[m][-1]
-        if phase1_value > 0:
-            cert = tuple(tableau[m][width + i] - 1 for i in range(m))
+        obj, obj_den = tableau[m], dens[m]
+        if obj[-1] < 0:
+            cert = tuple(
+                Fraction(obj[width + i] - obj_den, obj_den) for i in range(m)
+            )
             solution = LpSolution(
                 status="infeasible",
                 objective=None,
@@ -158,33 +203,43 @@ class LinearProgram:
         for i in range(m):
             if basis[i] < width:
                 continue
+            row = tableau[i]
             for j in range(width):
-                if tableau[i][j] != 0:
-                    self._pivot(tableau, basis, i, j)
+                if row[j] != 0:
+                    self._pivot(tableau, dens, basis, i, j)
                     break
             else:
                 drop.append(i)
         keep = [i for i in range(m) if i not in drop]
-        tableau = [
-            [tableau[i][j] for j in range(width)] + [tableau[i][-1]] for i in keep
+        truncated = [
+            _reduced(tableau[i][:width] + [tableau[i][-1]], dens[i]) for i in keep
         ]
+        tableau = [ints for ints, _ in truncated]
+        dens = [den for _, den in truncated]
         basis = [basis[i] for i in keep]
         m = len(keep)
 
-        # phase 2 objective (internally minimize)
+        # phase 2 objective (internally minimize): cost - sum cb * row, over
+        # one common denominator
         sign = -_ONE if self.sense == "max" else _ONE
-        cost = [sign * c for c in self._objective] + [_ZERO] * (width - len(self._names))
-        obj = list(cost) + [_ZERO]
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb != 0:
-                row = tableau[i]
-                for j in range(width):
-                    obj[j] -= cb * row[j]
-                obj[-1] -= cb * row[-1]
+        cost = [sign * c for c in self._objective] + [_ZERO] * (
+            width - len(self._names) + 1
+        )
+        obj, common = _over_lcm(cost)
+        basic = [
+            (tableau[i], dens[i], cost[basis[i]]) for i in range(m) if cost[basis[i]]
+        ]
+        total = lcm(common, *(cb.denominator * den for _, den, cb in basic))
+        if total != common:
+            obj = [x * (total // common) for x in obj]
+        for row, den, cb in basic:
+            f = cb.numerator * (total // (cb.denominator * den))
+            obj = [o - f * x for o, x in zip(obj, row)]
+        obj, total = _reduced(obj, total)
         tableau.append(obj)
+        dens.append(total)
 
-        if not self._run_simplex(tableau, basis, width, allow_unbounded=True):
+        if not self._run_simplex(tableau, dens, basis, width, allow_unbounded=True):
             return LpSolution(
                 status="unbounded",
                 objective=None,
@@ -194,9 +249,9 @@ class LinearProgram:
 
         values = [_ZERO] * width
         for i in range(m):
-            values[basis[i]] = tableau[i][-1]
+            values[basis[i]] = Fraction(tableau[i][-1], dens[i])
         assignment = dict(zip(self._names, values))
-        minimized = -tableau[m][-1]
+        minimized = -Fraction(tableau[m][-1], dens[m])
         objective = -minimized if self.sense == "max" else minimized
         return LpSolution(
             status="optimal",
@@ -208,30 +263,48 @@ class LinearProgram:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _pivot(tableau, basis, row, col):
+    def _pivot(tableau, dens, basis, row, col):
         pivot_row = tableau[row]
-        inv = _ONE / pivot_row[col]
-        if inv != 1:
-            tableau[row] = pivot_row = [x * inv for x in pivot_row]
-        # A zero pivot-row entry p leaves x - f*0 == x, so only the nonzero
-        # columns change; every entry, and so every Bland choice, is the one
-        # a full-row update gives.
-        nonzero = [(j, p) for j, p in enumerate(pivot_row) if p]
+        p = pivot_row[col]
+        if p < 0:
+            pivot_row = [-x for x in pivot_row]
+            p = -p
+        g = gcd(*pivot_row)
+        if g != 1:
+            pivot_row = [x // g for x in pivot_row]
+            p //= g
+        tableau[row] = pivot_row
+        dens[row] = p
+        nonzero = [(j, y) for j, y in enumerate(pivot_row) if y]
+        # A row O / d whose entry o at col is 0 keeps its value.  Any other
+        # row becomes O / d - (o / d) * (P / p); with o = g*f and p = g*q for
+        # g = gcd(o, p), that is (O*q - f*P) / (d*q).  For q == 1 only the
+        # nonzero columns of P change, in place; otherwise the scaled row is
+        # reduced, so the denominators do not grow without need.
         for i, other in enumerate(tableau):
-            if i == row:
-                continue
-            factor = other[col]
-            if factor != 0:
-                for j, p in nonzero:
-                    other[j] -= factor * p
+            o = other[col]
+            if o and i != row:
+                g = gcd(o, p)
+                q, f = p // g, o // g
+                if q != 1:
+                    other = [x * q for x in other]
+                for j, y in nonzero:
+                    other[j] -= f * y
+                if q != 1:
+                    tableau[i], dens[i] = _reduced(other, dens[i] * q)
         basis[row] = col
 
     @classmethod
-    def _run_simplex(cls, tableau, basis, n_cols, allow_unbounded):
-        """Minimize with Bland's rule.  Returns False iff unbounded."""
+    def _run_simplex(cls, tableau, dens, basis, n_cols, allow_unbounded):
+        """Minimize with Bland's rule.  Returns False iff unbounded.
+
+        Every denominator is positive, so signs are read off the ints, and
+        a row's ratio rhs/a is its ints' ratio: b_i/a_i < b_k/a_k exactly
+        when b_i*a_k < b_k*a_i, as both a are positive.
+        """
         m = len(tableau) - 1
-        obj = tableau[m]
         while True:
+            obj = tableau[m]
             entering = -1
             for j in range(n_cols):
                 if obj[j] < 0:
@@ -240,21 +313,19 @@ class LinearProgram:
             if entering < 0:
                 return True
             leaving = -1
-            best = None
+            best_b = best_a = 0
             for i in range(m):
                 a = tableau[i][entering]
                 if a > 0:
-                    ratio = tableau[i][-1] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[leaving])
-                    ):
-                        best = ratio
-                        leaving = i
+                    b = tableau[i][-1]
+                    if leaving < 0:
+                        best_b, best_a, leaving = b, a, i
+                        continue
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                        best_b, best_a, leaving = b, a, i
             if leaving < 0:
                 if allow_unbounded:
                     return False
                 raise AssertionError("feasibility phase cannot be unbounded")
-            cls._pivot(tableau, basis, leaving, entering)
-            obj = tableau[m]
+            cls._pivot(tableau, dens, basis, leaving, entering)

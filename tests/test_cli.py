@@ -401,6 +401,23 @@ def test_model_without_contexts_is_noncontextual(capsys, tmp_path):
     assert json.loads(out)["fractions"] == {"ncf": "1", "cf": "0", "df": "0"}
 
 
+def test_huge_outcome_count_exits_2_with_one_short_line(capsys, tmp_path):
+    # a 301-digit outcome count loads as a JSON integer; the size mismatch
+    # must not spell out the product of the counts
+    model = json.dumps(
+        {"hypergraph": [["a", "b"]], "outcomes": {"a": 0, "b": 2},
+         "tables": {"0": ["1/4"] * 4}}
+    ).replace('"a": 0', '"a": 1' + "0" * 300)
+    path = tmp_path / "huge-count.json"
+    path.write_text(model)
+    for command in ("fraction", "disturbance"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1, err
+        assert len(err.replace(str(path), "")) < 120 and "0" * 20 not in err, err
+        assert "table 0 has 4 entries" in err
+
+
 def test_input_error_exit_codes(capsys, tmp_path):
     assert run(capsys, "nosuch")[0] == 2
 

@@ -419,6 +419,14 @@ def test_table_value_row_major_order():
         m.marginal(0, ("z",))
 
 
+def test_marginal_onto_a_repeated_name_is_refused():
+    h = CompatibilityHypergraph(("a0", "b0"), (("a0", "b0"),))
+    m = EmpiricalModel(h, {"a0": 2, "b0": 2}, ((F(1, 4),) * 4,))
+    with pytest.raises(ValueError, match="twice"):
+        m.marginal(0, ("a0", "a0"))
+    assert m.marginal(0, ("a0",)) == {(0,): F(1, 2), (1,): F(1, 2)}
+
+
 def test_restriction_matches_a_tuple_lookup():
     rng = Random(11)
     for _ in range(200):

@@ -276,6 +276,15 @@ def test_is_exact_verdicts():
     assert zero.potential is not None and zero.potential.is_zero
 
 
+def test_top_degree_zero_cochain_has_the_zero_potential():
+    # no triangle: the system for a 2-cochain's potential has no rows, and
+    # its potential is still a cochain over every edge
+    k = hollow_triangle()
+    result = is_exact(k, Cochain(2))
+    assert result.status == "exact"
+    assert result.potential.degree == 1 and result.potential.is_zero
+
+
 def test_potential_is_pinned_at_component_roots():
     k = SimplicialComplex([(1, 2), (2, 3), (7, 8)])
     w = Cochain(1, {(1, 2): Fraction(1, 2), (2, 3): Fraction(1), (7, 8): Fraction(-2)})

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -134,6 +135,15 @@ def test_int_rows_give_fraction_entries():
 def test_solve_reports_inconsistency():
     m = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
     assert linalg.solve(m, [Fraction(1), Fraction(3)]) is None
+
+
+def test_solve_takes_the_column_count_of_a_matrix_with_no_rows():
+    # no equation leaves every unknown free, so the answer has ncols zeros
+    assert linalg.solve([], [], 3) == [0, 0, 0]
+    assert linalg.solve([], [], 0) == []
+    with pytest.raises(ValueError, match="column count"):
+        linalg.solve([], [])
+    assert linalg.solve([[1, 2]], [1], 2) == [1, 0]
 
 
 @given(

@@ -7,9 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from contextua.disturbance import detect_disturbance, fractions_with_disturbance
 from contextua.lp import LinearProgram, LpSolution
 from contextua.noncontextuality import Limits, _embedding_program
-from contextua.scenarios import gbit, halving_fragment, qubit_fragment
+from contextua.scenarios import (
+    chsh_quantum,
+    gbit,
+    halving_fragment,
+    kcbs_quantum,
+    nudged_box,
+    qubit_fragment,
+)
 
 
 def build(objective, rows, ops, rhs, sense="max"):
@@ -240,41 +248,124 @@ def test_solution_bookkeeping_fields():
     assert len(sol.eq_matrix[0]) == 2
 
 
-# -- the sparse pivot follows the full-row pivot exactly ---------------------
+# -- the integer simplex follows the Fraction full-row simplex exactly -------
 
 
-def dense_pivot(tableau, basis, row, col):
-    """Reference pivot: every other row recomputed over every column."""
-    pivot_row = tableau[row]
-    inv = F(1) / pivot_row[col]
-    if inv != 1:
-        tableau[row] = pivot_row = [x * inv for x in pivot_row]
-    for i, other in enumerate(tableau):
-        if i != row and other[col] != 0:
-            factor = other[col]
-            tableau[i] = [x - factor * p for x, p in zip(other, pivot_row)]
-    basis[row] = col
-
-
-def solve_recording(lp, pivot):
-    """Solve with ``pivot`` in place of ``_pivot``; also return the
-    (row, column) of every pivot taken."""
+def fraction_simplex(lp):
+    """Reference solver: the two-phase Bland simplex on a tableau of
+    Fractions, where every pivot recomputes every other row over every
+    column.  Returns its solution and the (row, column) of every pivot."""
+    rows, rhs, width = lp._standard_form()
+    m = len(rows)
+    stored = dict(eq_matrix=tuple(map(tuple, rows)), eq_rhs=tuple(rhs))
+    tableau = [
+        list(row) + [F(int(i == k)) for k in range(m)] + [b]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    basis = [width + i for i in range(m)]
     path = []
 
-    def recorded(tableau, basis, row, col):
+    def pivot(row, col):
         path.append((row, col))
-        pivot(tableau, basis, row, col)
+        pivot_row = [x / tableau[row][col] for x in tableau[row]]
+        tableau[row] = pivot_row
+        for i, other in enumerate(tableau):
+            if i != row and other[col] != 0:
+                factor = other[col]
+                tableau[i] = [x - factor * p for x, p in zip(other, pivot_row)]
+        basis[row] = col
+
+    def bland(n_cols):
+        """Minimize the last row; False iff unbounded."""
+        while True:
+            obj = tableau[-1]
+            entering = next((j for j in range(n_cols) if obj[j] < 0), None)
+            if entering is None:
+                return True
+            ratios = [
+                (tableau[i][-1] / tableau[i][entering], basis[i], i)
+                for i in range(len(tableau) - 1)
+                if tableau[i][entering] > 0
+            ]
+            if not ratios:
+                return False
+            pivot(min(ratios)[2], entering)
+
+    tableau.append(
+        [-sum((r[j] for r in tableau), F(0)) for j in range(width)]
+        + [F(0)] * m
+        + [-sum((r[-1] for r in tableau), F(0))]
+    )
+    assert bland(width + m), "feasibility phase cannot be unbounded"
+    if tableau[m][-1] < 0:
+        cert = tuple(tableau[m][width + i] - 1 for i in range(m))
+        return LpSolution("infeasible", None, certificate=cert, **stored), path
+
+    drop = []
+    for i in range(m):
+        if basis[i] >= width:
+            j = next((j for j in range(width) if tableau[i][j] != 0), None)
+            if j is None:
+                drop.append(i)
+            else:
+                pivot(i, j)
+    keep = [i for i in range(m) if i not in drop]
+    tableau[:] = [tableau[i][:width] + [tableau[i][-1]] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+    m = len(keep)
+
+    sign = -1 if lp.sense == "max" else 1
+    cost = [sign * c for c in lp._objective] + [F(0)] * (width - len(lp._names))
+    obj = cost + [F(0)]
+    for i in range(m):
+        obj = [o - cost[basis[i]] * x for o, x in zip(obj, tableau[i])]
+    tableau.append(obj)
+    if not bland(width):
+        return LpSolution("unbounded", None, **stored), path
+
+    values = [F(0)] * width
+    for i in range(m):
+        values[basis[i]] = tableau[i][-1]
+    minimized = -tableau[m][-1]
+    objective = -minimized if lp.sense == "max" else minimized
+    return LpSolution(
+        "optimal", objective, dict(zip(lp._names, values)), **stored
+    ), path
+
+
+def solve_recording(lp):
+    """``lp.solve()`` and the (row, column) of every pivot it takes."""
+    path = []
+    pivot = LinearProgram._pivot
+
+    def recorded(tableau, dens, basis, row, col):
+        path.append((row, col))
+        pivot(tableau, dens, basis, row, col)
 
     with patch.object(LinearProgram, "_pivot", staticmethod(recorded)):
         return lp.solve(), path
 
 
 def assert_same_path(lp):
-    sparse, sparse_path = solve_recording(lp, LinearProgram._pivot)
-    dense, dense_path = solve_recording(lp, dense_pivot)
-    assert sparse_path == dense_path
-    assert sparse == dense
-    assert repr(sparse) == repr(dense)
+    ours, our_path = solve_recording(lp)
+    ref, ref_path = fraction_simplex(lp)
+    assert our_path == ref_path
+    assert ours == ref
+    assert repr(ours) == repr(ref)
+
+
+def programs_solved_by(analysis, model):
+    """Every program that ``analysis(model)`` solves."""
+    built = []
+    solve = LinearProgram.solve
+
+    def recording(lp):
+        built.append(lp)
+        return solve(lp)
+
+    with patch.object(LinearProgram, "solve", recording):
+        analysis(model)
+    return built
 
 
 @settings(max_examples=50)
@@ -292,6 +383,21 @@ def test_sparse_pivot_matches_dense_pivot(case):
 @pytest.mark.parametrize("signed", [False, True])
 def test_sparse_pivot_matches_dense_pivot_on_embedding_lps(fragment, signed):
     assert_same_path(_embedding_program(fragment(), signed, Limits()))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [chsh_quantum, kcbs_quantum, lambda: nudged_box(F(1, 4))],
+    ids=["chsh", "kcbs", "nudged-box"],
+)
+def test_integer_simplex_matches_fraction_simplex_on_fraction_lps(model):
+    # the nudged box disturbs, so it builds the disturbance LP and the
+    # fraction LP of its agreeing part
+    m = model()
+    programs = programs_solved_by(fractions_with_disturbance, m)
+    assert len(programs) == (2 if detect_disturbance(m) else 1)
+    for lp in programs:
+        assert_same_path(lp)
 
 
 @pytest.mark.parametrize(
