@@ -79,23 +79,25 @@ class ValidationReport:
 
 
 def validate_fragment(f: GptFragment) -> ValidationReport:
-    """Check shapes, normalization, probability ranges and completeness."""
+    """Check shapes, normalization, probability ranges and completeness.
+
+    A shape message names the vector or matrix whose length differs from the
+    dimension, never the dimension itself, which a file may give at any size.
+    """
     report = ValidationReport()
     d = f.dimension
     if d <= 0:
-        report.structural.append(f"dimension must be positive, got {d}")
+        report.structural.append("dimension must be positive")
         return report
     for name, vectors in (("state", f.states), ("effect", f.effects)):
         for i, v in enumerate(vectors):
             if len(v) != d:
-                report.structural.append(f"{name} {i} has length {len(v)}, expected {d}")
+                report.structural.append(f"{name} {i} has length {len(v)}")
     if len(f.unit_effect) != d:
-        report.structural.append(
-            f"unit effect has length {len(f.unit_effect)}, expected {d}"
-        )
+        report.structural.append(f"unit effect has length {len(f.unit_effect)}")
     for t, m in enumerate(f.transformations):
         if len(m) != d or any(len(row) != d for row in m):
-            report.structural.append(f"transformation {t} is not {d}x{d}")
+            report.structural.append(f"transformation {t} has the wrong shape")
     for k, m in enumerate(f.measurements):
         for r in m:
             if not 0 <= r < len(f.effects):

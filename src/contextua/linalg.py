@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals, plus an integer Smith normal form.
 
 Matrices are plain ``list[list[Fraction]]`` (row major) and vectors are
-``list[Fraction]``; ``int`` entries are accepted too.  One elimination kernel
-serves ``rref``, ``rank``, ``nullspace`` and ``solve``: each row is scaled to
-integers and reduced fraction-free (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968), so
-the inner loop runs on Python ints and each answer divides by one common
-denominator at the end.
+``list[Fraction]``; ``int`` entries are accepted too.  One elimination step,
+:func:`pivot`, serves ``rref``, ``rank``, ``nullspace`` and ``solve`` here
+and every pivot of the simplex in :mod:`contextua.lp`.  It works on rows of
+Python ints, each over its own positive denominator, so a row stands for
+``ints / den`` and the inner loop never builds a Fraction.  A row whose
+entry in the pivot column is 0 keeps its value, so it is left alone: sparse
+rows, such as those of a boundary matrix, stay cheap.
 
 Nothing here is approximate: every pivot, rank and nullspace vector is exact.
 """
@@ -14,7 +15,7 @@ Nothing here is approximate: every pivot, rank and nullspace vector is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = list[Fraction]
@@ -29,66 +30,95 @@ def mat_vec(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Ve
     return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in matrix]
 
 
-def _integer_rows(matrix) -> list[list[int]]:
-    """Each row times the lcm of its denominators.
+def over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as (ints, den): den is the lcm of their denominators and
+    ``ints[j] / den == values[j]``."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
-    Scaling a row by a nonzero constant leaves the RREF, the rank, the kernel
-    and the solution set of an augmented system unchanged.
+
+def lowest_terms(ints: list[int], den: int) -> tuple[list[int], int]:
+    """The same row over the smallest denominator its ints allow."""
+    g = gcd(den, *ints)
+    if g == 1:
+        return ints, den
+    return [x // g for x in ints], den // g
+
+
+def pivot(rows: list[list[int]], dens: list[int], row: int, col: int) -> None:
+    """One Gauss-Jordan step at (row, col), in place.
+
+    Row i stands for ``rows[i] / dens[i]``, every den positive, and
+    ``rows[row][col]`` is nonzero.  The pivot row becomes P / p: its ints
+    made positive at col and divided by their gcd, and p = P[col].  Each
+    other row O / d with o = O[col] nonzero becomes O / d - (o / d) * (P / p);
+    with o = g*f and p = g*q for g = gcd(o, p), that is (O*q - f*P) / (d*q).
+    For q == 1 only the nonzero columns of P change, in place; otherwise the
+    scaled row is reduced, so the denominators do not grow without need.
+    A row with o == 0 keeps its value, so it is left alone, as the same list.
     """
-    rows = []
-    for row in matrix:
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
-    return rows
+    pivot_row = rows[row]
+    p = pivot_row[col]
+    if p < 0:
+        pivot_row = [-x for x in pivot_row]
+        p = -p
+    g = gcd(*pivot_row)
+    if g != 1:
+        pivot_row = [x // g for x in pivot_row]
+        p //= g
+    rows[row] = pivot_row
+    dens[row] = p
+    nonzero = [(j, y) for j, y in enumerate(pivot_row) if y]
+    for i, other in enumerate(rows):
+        o = other[col]
+        if o and i != row:
+            g = gcd(o, p)
+            q, f = p // g, o // g
+            if q != 1:
+                other = [x * q for x in other]
+            for j, y in nonzero:
+                other[j] -= f * y
+            if q != 1:
+                rows[i], dens[i] = lowest_terms(other, dens[i] * q)
 
 
-def _rref_internal(m: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place.
+def _rref_internal(matrix) -> tuple[list[list[int]], list[int], list[int]]:
+    """Gauss-Jordan elimination of ``matrix``'s rows by :func:`pivot`.
 
-    Returns ``(pivots, d)``: afterwards row i of ``m`` is d times row i of the
-    RREF, so every pivot entry equals d.  Each pivot p replaces every other
-    row x by ``(p*x - a*y) // prev``, where y is the pivot row, a is x's entry
-    in the pivot column and prev the previous pivot (1 before the first).
-    The division is exact: by Sylvester's identity every entry stays a minor
-    of the row-permuted integer input, hence an integer.
+    Returns ``(rows, dens, pivots)``: row i of the RREF is
+    ``rows[i] / dens[i]``, and ``pivots`` are its pivot columns.  Rows of
+    unequal length raise ValueError.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    scaled = [over_lcm(values) for values in matrix]
+    rows = [ints for ints, _ in scaled]
+    dens = [den for _, den in scaled]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(ints) != ncols for ints in rows):
+        raise ValueError("matrix rows must all have the same length")
     pivots: list[int] = []
-    prev = 1
-    row = 0
+    top = 0
     for col in range(ncols):
-        if row >= nrows:
+        if top == len(rows):
             break
-        pivot_row = next((r for r in range(row, nrows) if m[r][col]), None)
-        if pivot_row is None:
+        found = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if found is None:
             continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        top = m[row]
-        p = top[col]
-        for r in range(nrows):
-            if r == row:
-                continue
-            a = m[r][col]
-            if a:
-                m[r] = [(p * x - a * y) // prev for x, y in zip(m[r], top)]
-            elif p != prev:
-                m[r] = [p * x // prev for x in m[r]]
-        prev = p
+        rows[top], rows[found] = rows[found], rows[top]
+        dens[top], dens[found] = dens[found], dens[top]
+        pivot(rows, dens, top, col)
         pivots.append(col)
-        row += 1
-    return pivots, prev
+        top += 1
+    return rows, dens, pivots
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form and the pivot column indices."""
-    m = _integer_rows(matrix)
-    pivots, d = _rref_internal(m)
-    return [[Fraction(x, d) for x in row] for row in m], pivots
+    rows, dens, pivots = _rref_internal(matrix)
+    return [[Fraction(x, d) for x in ints] for ints, d in zip(rows, dens)], pivots
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(_rref_internal(_integer_rows(matrix))[0])
+    return len(_rref_internal(matrix)[2])
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
@@ -100,20 +130,22 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """
     if not matrix:
         return []
-    m = _integer_rows(matrix)
-    pivots, d = _rref_internal(m)
-    ncols = len(matrix[0])
+    rows, dens, pivots = _rref_internal(matrix)
+    ncols = len(rows[0])
     pivot_set = set(pivots)
     basis: list[Vector] = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        # d times the RREF kernel vector: d at the free column, -m[i][free]
-        # at pivot column i; scaling by its first nonzero entry cancels d
+        # the RREF kernel vector times the lcm of the denominators it reads;
+        # scaling by its first nonzero entry cancels that lcm
+        scale = lcm(*(dens[i] for i in range(len(pivots)) if rows[i][free]))
         vec = [0] * ncols
-        vec[free] = d
+        vec[free] = scale
         for i, pcol in enumerate(pivots):
-            vec[pcol] = -m[i][free]
+            x = rows[i][free]
+            if x:
+                vec[pcol] = -x * (scale // dens[i])
         first = next(x for x in vec if x)
         basis.append([Fraction(x, first) for x in vec])
     return basis
@@ -128,20 +160,25 @@ def solve(
 
     Free variables (if any) are set to zero.  ``ncols``, the number of
     unknowns, is read off the rows; a matrix with no rows must state it,
-    and then every x of that length solves a zero right-hand side.
+    and then every x of that length solves a zero right-hand side.  A
+    right-hand side of the wrong length, or an ``ncols`` the rows disagree
+    with, raises ValueError.
     """
+    if len(rhs) != len(matrix):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(matrix)} rows")
     if not matrix:
         if ncols is None:
             raise ValueError("a matrix with no rows needs its column count")
         return [Fraction(0)] * ncols if all(b == 0 for b in rhs) else None
+    if ncols not in (None, len(matrix[0])):
+        raise ValueError(f"matrix rows have {len(matrix[0])} entries, not {ncols}")
     ncols = len(matrix[0])
-    aug = _integer_rows([*row, b] for row, b in zip(matrix, rhs))
-    pivots, d = _rref_internal(aug)
+    rows, dens, pivots = _rref_internal([*row, b] for row, b in zip(matrix, rhs))
     if pivots and pivots[-1] == ncols:
         return None
     x = [Fraction(0)] * ncols
     for i, pcol in enumerate(pivots):
-        x[pcol] = Fraction(aug[i][ncols], d)
+        x[pcol] = Fraction(rows[i][ncols], dens[i])
     return x
 
 

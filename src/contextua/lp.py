@@ -16,12 +16,8 @@ objective's rhs int is negative.  So every pivot, the assignment and the
 Farkas certificate are those of the Fraction tableau; Fractions appear only
 in the standard form read in and in the numbers handed out.
 
-A pivot at (r, s) makes the pivot row's ints P positive at s and divides
-them by their gcd, which leaves the row P / p with p = P[s].  Each other row
-O / d with o = O[s] nonzero becomes (O*p - o*P) / (d*p), taken over the
-smaller denominator d*p/gcd(o, p) and reduced by the gcd of its ints and
-denominator whenever that denominator grows.  A row with o == 0 keeps its
-value, so it is left alone.  The tableau rows are built afresh and then
+A pivot is :func:`contextua.linalg.pivot`, the package's one elimination
+step, plus the basis update.  The tableau rows are built afresh and then
 updated in place, so neither the constraint rows added to the program nor
 the stored standard form are ever written.
 """
@@ -30,8 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Mapping
+
+from .linalg import lowest_terms, over_lcm, pivot
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,9 +62,9 @@ class LpSolution:
         """
         if self.status != "infeasible" or self.certificate is None:
             return False
-        ys, _ = _over_lcm(self.certificate)
+        ys, _ = over_lcm(self.certificate)
         terms = [
-            (y, *_over_lcm(row + (b,)))
+            (y, *over_lcm(row + (b,)))
             for y, row, b in zip(ys, self.eq_matrix, self.eq_rhs)
             if y
         ]
@@ -76,21 +74,6 @@ class LpSolution:
             w = y * (common // den)
             sums = [s + w * x for s, x in zip(sums, ints)]
         return all(s >= 0 for s in sums[:-1]) and sums[-1] < 0
-
-
-def _over_lcm(values):
-    """Fractions as (ints, den): den is the lcm of their denominators and
-    ``ints[j] / den == values[j]``."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
-def _reduced(ints, den):
-    """The same row over the smallest denominator its ints allow."""
-    g = gcd(den, *ints)
-    if g == 1:
-        return ints, den
-    return [x // g for x in ints], den // g
 
 
 class LinearProgram:
@@ -160,7 +143,7 @@ class LinearProgram:
         # own denominator; columns = width originals + m artificials + rhs
         tableau, dens = [], []
         for i, (row, b) in enumerate(zip(rows, rhs)):
-            ints, den = _over_lcm(row + [b])
+            ints, den = over_lcm(row + [b])
             artificial = [0] * m
             artificial[i] = den
             tableau.append(ints[:width] + artificial + ints[width:])
@@ -175,7 +158,7 @@ class LinearProgram:
             scale = common // den
             obj = [o - scale * x for o, x in zip(obj, row)]
         obj[width : width + m] = [0] * m
-        obj, common = _reduced(obj, common)
+        obj, common = lowest_terms(obj, common)
         tableau.append(obj)
         dens.append(common)
 
@@ -212,7 +195,7 @@ class LinearProgram:
                 drop.append(i)
         keep = [i for i in range(m) if i not in drop]
         truncated = [
-            _reduced(tableau[i][:width] + [tableau[i][-1]], dens[i]) for i in keep
+            lowest_terms(tableau[i][:width] + [tableau[i][-1]], dens[i]) for i in keep
         ]
         tableau = [ints for ints, _ in truncated]
         dens = [den for _, den in truncated]
@@ -225,7 +208,7 @@ class LinearProgram:
         cost = [sign * c for c in self._objective] + [_ZERO] * (
             width - len(self._names) + 1
         )
-        obj, common = _over_lcm(cost)
+        obj, common = over_lcm(cost)
         basic = [
             (tableau[i], dens[i], cost[basis[i]]) for i in range(m) if cost[basis[i]]
         ]
@@ -235,7 +218,7 @@ class LinearProgram:
         for row, den, cb in basic:
             f = cb.numerator * (total // (cb.denominator * den))
             obj = [o - f * x for o, x in zip(obj, row)]
-        obj, total = _reduced(obj, total)
+        obj, total = lowest_terms(obj, total)
         tableau.append(obj)
         dens.append(total)
 
@@ -264,34 +247,7 @@ class LinearProgram:
     # ------------------------------------------------------------------
     @staticmethod
     def _pivot(tableau, dens, basis, row, col):
-        pivot_row = tableau[row]
-        p = pivot_row[col]
-        if p < 0:
-            pivot_row = [-x for x in pivot_row]
-            p = -p
-        g = gcd(*pivot_row)
-        if g != 1:
-            pivot_row = [x // g for x in pivot_row]
-            p //= g
-        tableau[row] = pivot_row
-        dens[row] = p
-        nonzero = [(j, y) for j, y in enumerate(pivot_row) if y]
-        # A row O / d whose entry o at col is 0 keeps its value.  Any other
-        # row becomes O / d - (o / d) * (P / p); with o = g*f and p = g*q for
-        # g = gcd(o, p), that is (O*q - f*P) / (d*q).  For q == 1 only the
-        # nonzero columns of P change, in place; otherwise the scaled row is
-        # reduced, so the denominators do not grow without need.
-        for i, other in enumerate(tableau):
-            o = other[col]
-            if o and i != row:
-                g = gcd(o, p)
-                q, f = p // g, o // g
-                if q != 1:
-                    other = [x * q for x in other]
-                for j, y in nonzero:
-                    other[j] -= f * y
-                if q != 1:
-                    tableau[i], dens[i] = _reduced(other, dens[i] * q)
+        pivot(tableau, dens, row, col)
         basis[row] = col
 
     @classmethod

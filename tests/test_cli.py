@@ -50,7 +50,7 @@ def test_scenarios_list_and_every_emit_round_trips(capsys, tmp_path):
     for row in listing:
         extra = ("--seed", "3") if row["name"].startswith("random-") else ()
         path = emit(capsys, tmp_path, row["name"], *extra)
-        text = open(path).read()
+        text = Path(path).read_text()
         if row["kind"] == "fragment":
             fragment_from_json(text)
         elif row["kind"] == "model":
@@ -76,7 +76,7 @@ def test_validate_exit_codes(capsys, tmp_path):
     assert code == 0
     assert json.loads(out) == {"ok": True, "structural": [], "violations": []}
 
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["states"][0] = ["2", "0"]  # unit no longer pairs to 1
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
@@ -84,6 +84,18 @@ def test_validate_exit_codes(capsys, tmp_path):
     assert code == 0 and not json.loads(out)["ok"]
     code, _, _ = run(capsys, "validate", str(broken), "--strict")
     assert code == 1
+
+
+def test_a_huge_dimension_is_not_spelled_out(capsys, tmp_path):
+    # a 301-digit dimension loads; the shape messages name lengths only
+    doc = json.loads(Path(emit(capsys, tmp_path, "classical-bit")).read_text())
+    doc["dimension"] = 10**300
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "nc-check", str(wide))
+    assert code == 2 and len(err.splitlines()) == 1 and len(err.encode()) < 200
+    code, out, _ = run(capsys, "validate", str(wide))
+    assert code == 0 and "structural" in out and len(out.encode()) < 200
 
 
 def test_nc_check_and_negativity(capsys, tmp_path):
@@ -106,7 +118,7 @@ def test_nc_check_and_negativity(capsys, tmp_path):
     assert code == 0 and json.loads(out)["negativity"] == "0"
 
     # a structural error reaches the message, not only the invariant violations
-    doc = json.loads(open(bit).read())
+    doc = json.loads(Path(bit).read_text())
     doc["measurements"] = [[0, 7]]
     dangling = tmp_path / "dangling.json"
     dangling.write_text(json.dumps(doc))
@@ -476,14 +488,14 @@ def test_input_error_exit_codes(capsys, tmp_path):
     # a JSON number beyond float range loads as inf, which no rational equals
     bit = emit(capsys, tmp_path, "classical-bit")
     huge = tmp_path / "huge.json"
-    huge.write_text(open(bit).read().replace('"effects": [[1, 0]', '"effects": [[1e400, 0]'))
+    huge.write_text(Path(bit).read_text().replace('"effects": [[1, 0]', '"effects": [[1e400, 0]'))
     code, _, err = run(capsys, "validate", str(huge))
     assert code == 2 and "bad fragment file" in err and len(err.splitlines()) == 1
 
     # integer fields take JSON integers only: no float, string, bool or 1e300
-    box = json.loads(open(emit(capsys, tmp_path, "pr-box")).read())
+    box = json.loads(Path(emit(capsys, tmp_path, "pr-box")).read_text())
     for value in (3.9, "3", True, 1e300):
-        payload = json.loads(open(bit).read())
+        payload = json.loads(Path(bit).read_text())
         payload["dimension"] = value
         huge.write_text(json.dumps(payload))
         code, _, err = run(capsys, "validate", str(huge))
@@ -494,16 +506,16 @@ def test_input_error_exit_codes(capsys, tmp_path):
         code, _, err = run(capsys, "fraction", str(huge))
         assert code == 2 and err.endswith(f"count {value!r} is not an integer\n")
         assert len(err.splitlines()) == 1 and len(err) < len(str(huge)) + 100
-    huge.write_text(open(planted).read().replace('"1/8"', "1e400", 1))
+    huge.write_text(Path(planted).read_text().replace('"1/8"', "1e400", 1))
     code, _, err = run(capsys, "fraction", str(huge))
     assert code == 2 and "bad model file" in err and len(err.splitlines()) == 1
     # an in-bound exponent whose value has too many digits to print back
-    huge.write_text(open(bit).read().replace('"effects": [[1, 0]', '"effects": [["1e4300", 0]'))
+    huge.write_text(Path(bit).read_text().replace('"effects": [[1, 0]', '"effects": [["1e4300", 0]'))
     code, _, err = run(capsys, "validate", str(huge))
     assert code == 2 and len(err.splitlines()) == 1
     assert "bad fragment file" in err and "'1e4300' has more than 4300 digits" in err
     # JSON values of the wrong type where an index or an object belongs
-    doc = json.loads(open(bit).read())
+    doc = json.loads(Path(bit).read_text())
     doc["measurements"] = [[0, None]]
     huge.write_text(json.dumps(doc))
     code, _, err = run(capsys, "nc-check", str(huge))

@@ -181,6 +181,31 @@ def test_homology_torsion_of_projective_plane():
     assert factors == [2]
 
 
+def triangulated_torus(n):
+    """The n-by-n grid with opposite sides glued, each square cut along
+    one diagonal: 3n**2 edges and 2n**2 triangles."""
+    def vertex(i, j):
+        return (i % n) * n + j % n
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            corner, diagonal = vertex(i, j), vertex(i + 1, j + 1)
+            triangles.append((corner, vertex(i + 1, j), diagonal))
+            triangles.append((corner, vertex(i, j + 1), diagonal))
+    return SimplicialComplex(triangles)
+
+
+def test_homology_of_a_triangulated_torus():
+    k = triangulated_torus(7)
+    assert len(k.simplices(1)) == 147 and len(k.simplices(2)) == 98
+    assert [homology(k, n) for n in range(3)] == [
+        HomologyGroup(0, 1, ()),
+        HomologyGroup(1, 2, ()),
+        HomologyGroup(2, 1, ()),
+    ]
+
+
 @given(complexes)
 def test_euler_characteristic_equals_alternating_betti_sum(k):
     total = sum(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from contextua import linalg
@@ -88,6 +88,29 @@ def test_nullspace_is_exact_kernel_basis(m):
         assert linalg.rank(basis) == len(basis)
 
 
+@given(matrices, st.data())
+def test_pivot_is_one_gauss_jordan_step(m, data):
+    m = [[Fraction(x) for x in row] for row in m]
+    cells = [(i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+    assume(cells)
+    row, col = data.draw(st.sampled_from(cells))
+    scaled = [linalg.over_lcm(values) for values in m]
+    rows = [ints for ints, _ in scaled]
+    dens = [den for _, den in scaled]
+    before = list(rows)
+    linalg.pivot(rows, dens, row, col)
+    top = [x / m[row][col] for x in m[row]]
+    step = [
+        top if i == row else [x - values[col] * y for x, y in zip(values, top)]
+        for i, values in enumerate(m)
+    ]
+    assert [[Fraction(x, d) for x in ints] for ints, d in zip(rows, dens)] == step
+    assert all(d > 0 for d in dens)
+    for i, values in enumerate(m):
+        if i != row and values[col] == 0:
+            assert rows[i] is before[i], f"row {i} was rewritten"
+
+
 def test_nullspace_ordering_is_by_free_column():
     # columns 0 and 1 are pivots, 2 and 3 free
     m = [
@@ -130,6 +153,21 @@ def test_int_rows_give_fraction_entries():
     x = linalg.solve(m, [1, 2, 3])
     assert x == [1, 2, 0, 0]
     assert all(type(v) is Fraction for v in x)
+
+
+def test_entry_points_check_shapes():
+    ragged = [[1, 0], [0, 1, 1]]
+    for entry in (linalg.rref, linalg.rank, linalg.nullspace):
+        with pytest.raises(ValueError, match="same length"):
+            entry(ragged)
+    with pytest.raises(ValueError, match="same length"):
+        linalg.solve(ragged, [1, 1])
+    with pytest.raises(ValueError, match="right-hand sides"):
+        linalg.solve([[1], [2]], [1])
+    with pytest.raises(ValueError, match="right-hand sides"):
+        linalg.solve([], [1], 2)
+    with pytest.raises(ValueError, match="not 3"):
+        linalg.solve([[1, 2]], [1], 3)
 
 
 def test_solve_reports_inconsistency():
