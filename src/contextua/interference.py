@@ -8,13 +8,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._rat import format_rational, parse_rational
 from .connection import ConnectionDecomposition, ObjectComplex
 
+if TYPE_CHECKING:  # numpy is imported by the functions that use it
+    import numpy as np
 Event = frozenset
 
 
@@ -123,6 +123,7 @@ def all_i3(m: EventMeasure) -> dict[tuple[str, str, str], Fraction | float]:
 # sharp quantum inputs
 
 def _check_projector(p: np.ndarray, name: str, tol: float = 1e-9) -> None:
+    import numpy as np
     if not np.allclose(p, p.conj().T, atol=tol):
         raise ValueError(f"{name} is not Hermitian")
     if not np.allclose(p @ p, p, atol=tol):
@@ -137,6 +138,7 @@ def quantum_i2(rho: np.ndarray, e: np.ndarray, e_prime: np.ndarray) -> float:
     measure on {e, e', e join e'} — identically zero, which is the point:
     sharp quantum measures stop deviating from additivity at second order.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     e = np.asarray(e, dtype=complex)
     e_prime = np.asarray(e_prime, dtype=complex)
@@ -156,6 +158,7 @@ def quantum_i2(rho: np.ndarray, e: np.ndarray, e_prime: np.ndarray) -> float:
 
 def born_measure(rho: np.ndarray, projectors: Mapping[str, np.ndarray]) -> EventMeasure:
     """Born masses of all unions of pairwise orthogonal projectors."""
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     names = sorted(projectors)
     for name in names:

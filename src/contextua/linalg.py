@@ -23,11 +23,10 @@ Matrix = list[list[Fraction]]
 
 
 def transpose(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [list(col) for col in zip(*matrix)] if matrix else []
-
-
-def mat_vec(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Vector:
-    return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in matrix]
+    """The columns as rows; rows of unequal length raise ValueError."""
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValueError("matrix rows must all have the same length")
+    return [list(col) for col in zip(*matrix)]
 
 
 def over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:

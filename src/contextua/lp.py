@@ -16,6 +16,11 @@ objective's rhs int is negative.  So every pivot, the assignment and the
 Farkas certificate are those of the Fraction tableau; Fractions appear only
 in the standard form read in and in the numbers handed out.
 
+Constraints are kept sparse, as nonzero coefficients by column, and
+``_standard_form`` adds the slacks and the sign fix to them once; ``solve``
+places each row's ints in the tableau and its values in the stored dense
+form.  One pricing step, cost - sum c_B * row, sets both phase objectives.
+
 A pivot is :func:`contextua.linalg.pivot`, the package's one elimination
 step, plus the basis update.  The tableau rows are built afresh and then
 updated in place, so neither the constraint rows added to the program nor
@@ -86,7 +91,7 @@ class LinearProgram:
         self._names: list[str] = []
         self._index: dict[str, int] = {}
         self._objective: list = []
-        self._rows: list[list] = []  # coefficients over declared variables
+        self._rows: list[dict[int, Fraction]] = []  # nonzero coefficients by column
         self._ops: list[str] = []
         self._rhs: list = []
 
@@ -96,86 +101,73 @@ class LinearProgram:
         self._index[name] = len(self._names)
         self._names.append(name)
         self._objective.append(Fraction(objective))
-        for row in self._rows:
-            row.append(_ZERO)
         return name
 
     def add_constraint(self, coeffs: Mapping[str, object], op: str, rhs) -> None:
         if op not in ("<=", "=", ">="):
             raise ValueError(f"unknown constraint operator {op!r}")
-        row = [_ZERO] * len(self._names)
+        row = {}
         for name, c in coeffs.items():
             if name not in self._index:
                 raise ValueError(f"constraint references unknown variable {name!r}")
-            row[self._index[name]] = Fraction(c)
+            c = Fraction(c)
+            if c:
+                row[self._index[name]] = c
         self._rows.append(row)
         self._ops.append(op)
         self._rhs.append(Fraction(rhs))
 
     # ------------------------------------------------------------------
     def _standard_form(self):
-        """Equalities with slacks appended, rows negated so rhs >= 0."""
-        n = len(self._names)
-        n_slack = sum(1 for op in self._ops if op != "=")
-        width = n + n_slack
-        rows = []
-        rhs = []
-        slack_at = 0
+        """Sparse equalities: each row's nonzero coefficients by column, one
+        slack column per inequality after the declared variables, and rows
+        negated so rhs >= 0.  Returns (rows, rhs, width)."""
+        rows, rhs = [], []
+        width = len(self._names)
         for row, op, b in zip(self._rows, self._ops, self._rhs):
-            full = list(row) + [_ZERO] * n_slack
+            row = dict(row)
             if op != "=":
-                full[n + slack_at] = _ONE if op == "<=" else -_ONE
-                slack_at += 1
+                row[width] = _ONE if op == "<=" else -_ONE
+                width += 1
             if b < 0:
-                full = [-x for x in full]
+                row = {j: -x for j, x in row.items()}
                 b = -b
-            rows.append(full)
+            rows.append(row)
             rhs.append(b)
         return rows, rhs, width
 
     def solve(self) -> LpSolution:
         rows, rhs, width = self._standard_form()
         m = len(rows)
-        eq_matrix = tuple(map(tuple, rows))
-        eq_rhs = tuple(rhs)
 
         # tableau: m constraint rows + objective row, each as ints over its
-        # own denominator; columns = width originals + m artificials + rhs
-        tableau, dens = [], []
+        # own denominator; columns = width originals + m artificials + rhs.
+        # The stored dense form has the same columns up to the artificials.
+        tableau, dens, eq_matrix = [], [], []
         for i, (row, b) in enumerate(zip(rows, rhs)):
-            ints, den = over_lcm(row + [b])
-            artificial = [0] * m
-            artificial[i] = den
-            tableau.append(ints[:width] + artificial + ints[width:])
+            ints, den = over_lcm([*row.values(), b])
+            dense, placed = [_ZERO] * width, [0] * (width + m) + ints[-1:]
+            for (j, x), y in zip(row.items(), ints):
+                dense[j], placed[j] = x, y
+            placed[width + i] = den
+            eq_matrix.append(tuple(dense))
+            tableau.append(placed)
             dens.append(den)
+        stored = dict(eq_matrix=tuple(eq_matrix), eq_rhs=tuple(rhs))
         basis = [width + i for i in range(m)]
 
-        # phase 1: minimize the artificial total, summed over the lcm of
-        # the row denominators; the artificial columns stay 0
-        common = lcm(*dens)
-        obj = [0] * (width + m + 1)
-        for row, den in zip(tableau, dens):
-            scale = common // den
-            obj = [o - scale * x for o, x in zip(obj, row)]
-        obj[width : width + m] = [0] * m
-        obj, common = lowest_terms(obj, common)
-        tableau.append(obj)
-        dens.append(common)
-
-        self._run_simplex(tableau, dens, basis, width + m, allow_unbounded=False)
+        # phase 1: minimize the artificial total; each artificial column
+        # prices to 1 - 1 = 0
+        self._price(tableau, dens, basis, [_ZERO] * width + [_ONE] * m + [_ZERO])
+        if not self._run_simplex(tableau, dens, basis, width + m):
+            raise AssertionError("feasibility phase cannot be unbounded")
 
         obj, obj_den = tableau[m], dens[m]
         if obj[-1] < 0:
             cert = tuple(
                 Fraction(obj[width + i] - obj_den, obj_den) for i in range(m)
             )
-            solution = LpSolution(
-                status="infeasible",
-                objective=None,
-                certificate=cert,
-                eq_matrix=eq_matrix,
-                eq_rhs=eq_rhs,
-            )
+            solution = LpSolution("infeasible", None, certificate=cert, **stored)
             if not solution.certificate_checks():
                 raise AssertionError("Farkas certificate failed self-check")
             return solution
@@ -202,33 +194,12 @@ class LinearProgram:
         basis = [basis[i] for i in keep]
         m = len(keep)
 
-        # phase 2 objective (internally minimize): cost - sum cb * row, over
-        # one common denominator
+        # phase 2: the program's objective, internally minimized
         sign = -_ONE if self.sense == "max" else _ONE
-        cost = [sign * c for c in self._objective] + [_ZERO] * (
-            width - len(self._names) + 1
-        )
-        obj, common = over_lcm(cost)
-        basic = [
-            (tableau[i], dens[i], cost[basis[i]]) for i in range(m) if cost[basis[i]]
-        ]
-        total = lcm(common, *(cb.denominator * den for _, den, cb in basic))
-        if total != common:
-            obj = [x * (total // common) for x in obj]
-        for row, den, cb in basic:
-            f = cb.numerator * (total // (cb.denominator * den))
-            obj = [o - f * x for o, x in zip(obj, row)]
-        obj, total = lowest_terms(obj, total)
-        tableau.append(obj)
-        dens.append(total)
-
-        if not self._run_simplex(tableau, dens, basis, width, allow_unbounded=True):
-            return LpSolution(
-                status="unbounded",
-                objective=None,
-                eq_matrix=eq_matrix,
-                eq_rhs=eq_rhs,
-            )
+        cost = [sign * c for c in self._objective]
+        self._price(tableau, dens, basis, cost + [_ZERO] * (width - len(cost) + 1))
+        if not self._run_simplex(tableau, dens, basis, width):
+            return LpSolution("unbounded", None, **stored)
 
         values = [_ZERO] * width
         for i in range(m):
@@ -236,22 +207,32 @@ class LinearProgram:
         assignment = dict(zip(self._names, values))
         minimized = -Fraction(tableau[m][-1], dens[m])
         objective = -minimized if self.sense == "max" else minimized
-        return LpSolution(
-            status="optimal",
-            objective=objective,
-            assignment=assignment,
-            eq_matrix=eq_matrix,
-            eq_rhs=eq_rhs,
-        )
+        return LpSolution("optimal", objective, assignment, **stored)
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _price(tableau, dens, basis, cost):
+        """Append the objective row cost - sum c_B * row, over one common
+        denominator in lowest terms; ``cost`` holds one Fraction per column,
+        rhs last, and c_B is its entry at each row's basic column."""
+        obj, den = over_lcm(cost)
+        basic = [(tableau[i], dens[i], cost[b]) for i, b in enumerate(basis) if cost[b]]
+        total = lcm(den, *(cb.denominator * d for _, d, cb in basic))
+        obj = [x * (total // den) for x in obj]
+        for row, d, cb in basic:
+            f = cb.numerator * (total // (cb.denominator * d))
+            obj = [o - f * x for o, x in zip(obj, row)]
+        obj, total = lowest_terms(obj, total)
+        tableau.append(obj)
+        dens.append(total)
+
     @staticmethod
     def _pivot(tableau, dens, basis, row, col):
         pivot(tableau, dens, row, col)
         basis[row] = col
 
     @classmethod
-    def _run_simplex(cls, tableau, dens, basis, n_cols, allow_unbounded):
+    def _run_simplex(cls, tableau, dens, basis, n_cols):
         """Minimize with Bland's rule.  Returns False iff unbounded.
 
         Every denominator is positive, so signs are read off the ints, and
@@ -281,7 +262,5 @@ class LinearProgram:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                         best_b, best_a, leaving = b, a, i
             if leaving < 0:
-                if allow_unbounded:
-                    return False
-                raise AssertionError("feasibility phase cannot be unbounded")
+                return False
             cls._pivot(tableau, dens, basis, leaving, entering)

@@ -755,10 +755,12 @@ CLASSICAL_SIMPLEX_CLI_MAX = 64
 
 
 def _classical_simplex_cli(n=3) -> GptFragment:
+    if n != int(n):
+        raise ValueError("n must be a whole number")
     n = int(n)
     if n > CLASSICAL_SIMPLEX_CLI_MAX:
         raise ValueError(
-            f"n = {n} exceeds the command-line cap of {CLASSICAL_SIMPLEX_CLI_MAX}"
+            f"n exceeds the command-line cap of {CLASSICAL_SIMPLEX_CLI_MAX}"
         )
     return classical_simplex(n)
 

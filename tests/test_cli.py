@@ -536,6 +536,40 @@ def test_input_error_exit_codes(capsys, tmp_path):
         assert len(err.splitlines()) == 1
 
 
+def test_classical_simplex_takes_a_whole_n_only(capsys):
+    for n in ("5/2", "1/2", "2.5"):
+        code, out, err = run(
+            capsys, "scenarios", "emit", "classical-simplex", "--param", f"n={n}"
+        )
+        assert code == 2 and out == ""
+        assert "whole number" in err and len(err.splitlines()) == 1
+    # the cap message does not spell out a huge n
+    code, _, err = run(
+        capsys, "scenarios", "emit", "classical-simplex", "--param", "n=1e400"
+    )
+    assert code == 2 and "cap of 64" in err and len(err) < 120
+    for n in ("4", "4.0", "8/2"):
+        code, out, _ = run(
+            capsys, "scenarios", "emit", "classical-simplex", "--param", f"n={n}"
+        )
+        assert code == 0 and fragment_from_json(out).dimension == 4
+
+
+def test_the_cli_and_the_scenarios_load_without_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "import contextua.cli, contextua.scenarios\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0 and done.stdout == "False\n", done.stderr
+
+
 def test_input_errors_survive_optimized_mode(tmp_path):
     """``python -O`` drops asserts; every check here must still raise."""
     src = str(Path(__file__).resolve().parents[1] / "src")

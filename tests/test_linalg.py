@@ -79,7 +79,7 @@ def test_nullspace_is_exact_kernel_basis(m):
     # rank-nullity, exactly
     assert len(basis) + linalg.rank(m) == ncols
     for vec in basis:
-        image = linalg.mat_vec(m, vec)
+        image = [sum(a * x for a, x in zip(row, vec)) for row in m]
         assert all(x == 0 for x in image), f"not in kernel: {vec}"
         first = next(x for x in vec if x != 0)
         assert first == 1
@@ -127,10 +127,10 @@ def test_nullspace_ordering_is_by_free_column():
 def test_solve_consistent_systems(m):
     rng = random.Random(7)
     x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in m[0]]
-    b = linalg.mat_vec(m, x0)
+    b = [sum(a * x for a, x in zip(row, x0)) for row in m]
     x = linalg.solve(m, b)
     assert x is not None
-    assert linalg.mat_vec(m, x) == b
+    assert [sum(a * v for a, v in zip(row, x)) for row in m] == b
     # sympy's parametric solution with every free parameter at zero
     ref, params = to_sympy(m).gauss_jordan_solve(to_sympy([[y] for y in b]))
     assert to_sympy([[y] for y in x]) == ref.subs({p: 0 for p in params})
@@ -168,6 +168,13 @@ def test_entry_points_check_shapes():
         linalg.solve([], [1], 2)
     with pytest.raises(ValueError, match="not 3"):
         linalg.solve([[1, 2]], [1], 3)
+
+
+def test_transpose_refuses_ragged_rows():
+    assert linalg.transpose([[1, 2], [3, 4], [5, 6]]) == [[1, 3, 5], [2, 4, 6]]
+    assert linalg.transpose([]) == []
+    with pytest.raises(ValueError, match="same length"):
+        linalg.transpose([[1, 2], [3]])
 
 
 def test_solve_reports_inconsistency():

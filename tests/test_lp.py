@@ -256,6 +256,7 @@ def fraction_simplex(lp):
     Fractions, where every pivot recomputes every other row over every
     column.  Returns its solution and the (row, column) of every pivot."""
     rows, rhs, width = lp._standard_form()
+    rows = [[row.get(j, F(0)) for j in range(width)] for row in rows]
     m = len(rows)
     stored = dict(eq_matrix=tuple(map(tuple, rows)), eq_rhs=tuple(rhs))
     tableau = [
@@ -412,7 +413,57 @@ def test_integer_simplex_matches_fraction_simplex_on_fraction_lps(model):
 def test_solving_twice_leaves_the_program_intact(program):
     lp = program()
     first = lp.solve()
-    rows, rhs, _ = lp._standard_form()
+    rows, rhs, width = lp._standard_form()
+    rows = [[row.get(j, F(0)) for j in range(width)] for row in rows]
     assert first.eq_matrix == tuple(map(tuple, rows))
     assert first.eq_rhs == tuple(rhs)
     assert lp.solve() == first
+
+
+@pytest.mark.parametrize(
+    "status, objective, constraints",
+    [
+        (
+            "optimal",
+            [1, 2, 0],
+            [({0: 1}, "<=", 3), ({1: 1, 2: -1}, "<=", 1), ({0: 1, 2: 2}, "=", 4)],
+        ),
+        (
+            "infeasible",
+            [1, 0, 1],
+            [({0: 1}, ">=", 2), ({1: 1, 2: 1}, "=", 1), ({0: 1, 1: 1}, "<=", 1)],
+        ),
+    ],
+)
+def test_declaration_order_and_explicit_zeros_leave_the_solution_alone(
+    status, objective, constraints
+):
+    names = [f"x{j}" for j in range(len(objective))]
+
+    def declared_first(zeros):
+        lp = LinearProgram("max")
+        for name, c in zip(names, objective):
+            lp.add_variable(name, c)
+        for coeffs, op, b in constraints:
+            full = {j: coeffs.get(j, 0) for j in range(len(names))} if zeros else coeffs
+            lp.add_constraint({names[j]: c for j, c in full.items()}, op, b)
+        return lp.solve()
+
+    def declared_as_needed():
+        # each variable is declared just before the first constraint that
+        # reads it, as fractions_with_disturbance declares its own
+        lp = LinearProgram("max")
+        declared = []
+        for coeffs, op, b in constraints:
+            for j in coeffs:
+                if names[j] not in declared:
+                    declared.append(lp.add_variable(names[j], objective[j]))
+            lp.add_constraint({names[j]: c for j, c in coeffs.items()}, op, b)
+        assert declared == names
+        return lp.solve()
+
+    reference = declared_first(zeros=False)
+    assert reference.status == status
+    for other in (declared_as_needed(), declared_first(zeros=True)):
+        assert other == reference
+        assert repr(other) == repr(reference)
