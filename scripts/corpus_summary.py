@@ -3,8 +3,8 @@
 
 Fragments get the embedding verdict, minimal negativity, and the loop count
 of both object complexes; tables get the fraction split; event measures get
-their pair interference.  Useful as a quick smoke check after changes —
-the noisy fragment rows take a few seconds each.
+their pair interference.  Useful as a quick smoke check after changes: the
+whole summary takes about 2 s (Python 3.11, one core).
 """
 
 import argparse

@@ -111,15 +111,16 @@ COMPLEX_CLI_MAX_FACES = 2**10 - 1
 
 
 def _parse_complex(text: str) -> ddg.SimplicialComplex:
-    """A complex file, refused when its face closure could exceed
-    :data:`COMPLEX_CLI_MAX_FACES`; the library itself takes any size."""
+    """A list of simplices of JSON integer vertex ids, refused when its face
+    closure could exceed :data:`COMPLEX_CLI_MAX_FACES` (the library takes any)."""
     doc = json.loads(text)
+    if type(doc) is not list:
+        raise ValueError("a complex is a list of simplices")
     faces = 0
-    for simplex in doc if isinstance(doc, (list, dict)) else ():
-        try:
-            k = len(set(simplex))
-        except TypeError:  # not a vertex collection: the closure rejects it
-            continue
+    for position, simplex in enumerate(doc):
+        if type(simplex) is not list or any(type(v) is not int for v in simplex):
+            raise ValueError(f"simplex {position} is not a list of integer vertex ids")
+        k = len(set(simplex))
         faces += 2**k - 1 if k == len(simplex) else 0  # else degenerate
     if faces > COMPLEX_CLI_MAX_FACES:
         raise ValueError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import ddg, linalg
+from . import ddg
 from ._rat import format_rational
 from .core_model import GptFragment, OnticRepresentation, OperationalEquivalence
 
@@ -219,40 +219,6 @@ def valuation_cochain(
     return valuation_from_values(oc, values)
 
 
-def _potential(
-    complex_: ddg.SimplicialComplex,
-    xi: ddg.Cochain,
-    edges: Sequence[Edge],
-) -> ddg.Cochain:
-    """Least-squares potential of xi over ``edges``, through the vertex Laplacian.
-
-    The gauge: the first (smallest) vertex of each connected component of
-    ``edges`` is pinned to 0, the rule :func:`ddg.is_exact` integrates by.
-    The Laplacian is built on ints; only the right-hand side is rational.
-    """
-    vertices = complex_.vertices
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    lap = [[0] * n for _ in range(n)]
-    rhs = [Fraction(0) for _ in range(n)]
-    for a, b in edges:
-        ia, ib = index[a], index[b]
-        lap[ia][ia] += 1
-        lap[ib][ib] += 1
-        lap[ia][ib] -= 1
-        lap[ib][ia] -= 1
-        value = xi[(a, b)]
-        rhs[ib] += value
-        rhs[ia] -= value
-    pinned = {component[0] for component in ddg.components(vertices, edges)}
-    free = [i for i, v in enumerate(vertices) if v not in pinned]
-    system = [[lap[i][j] for j in free] for i in free]
-    solution = linalg.solve(system, [rhs[i] for i in free], len(free))
-    if solution is None:
-        raise AssertionError("reduced Laplacian system must be solvable")
-    return ddg.Cochain(0, {(vertices[i],): x for i, x in zip(free, solution)})
-
-
 def decompose_cochain(
     complex_: ddg.SimplicialComplex,
     xi: ddg.Cochain,
@@ -260,14 +226,14 @@ def decompose_cochain(
 ) -> ConnectionDecomposition:
     """Least-squares split xi = d(potential) + connection, exact over rationals.
 
-    The potential minimizes the unit-weight squared residual, solved through
-    the vertex Laplacian; it is pinned to 0 at the first vertex of each
+    The potential is :func:`ddg.potential`: it minimizes the unit-weight
+    squared residual and is pinned to 0 at the first vertex of each
     connected component, which fixes the gauge without changing the
     connection part.
     """
     if xi.degree != 1:
         raise ValueError(f"valuations have degree 1, got {xi.degree}")
-    potential = _potential(complex_, xi, complex_.simplices(1))
+    potential = ddg.potential(complex_, xi)
     return ConnectionDecomposition(
         complex=complex_,
         potential=potential,

@@ -2,8 +2,9 @@
 
 Oriented simplicial complexes with exact rational chains and cochains:
 boundary / coboundary, the integration pairing, integer homology (Smith normal
-form, cross-checked against rational ranks), rational cohomology bases, and an
-exact potential solver for closed cochains.
+form, cross-checked against rational ranks), rational cohomology bases, and
+one least-squares potential solver, which also decides exactness in degree 1.
+Each complex records its faces once; every boundary map reads that table.
 
 Orientation convention: a simplex is stored as a strictly increasing vertex
 tuple and carries the orientation induced by that order.  Chain and cochain
@@ -62,6 +63,17 @@ class SimplicialComplex:
             dim: {spx: i for i, spx in enumerate(spxs)}
             for dim, spxs in self._simplices.items()
         }
+        # the face rule, stated once: face i drops vertex i, with sign (-1)**i
+        self._faces = {
+            dim: tuple(
+                tuple(
+                    (self._index[dim - 1][spx[:i] + spx[i + 1 :]], (-1) ** i)
+                    for i in range(dim + 1)
+                )
+                for spx in spxs
+            )
+            for dim, spxs in self._simplices.items() if dim > 0
+        }
 
     @property
     def dimension(self) -> int:
@@ -73,6 +85,11 @@ class SimplicialComplex:
 
     def simplices(self, degree: int) -> tuple[Simplex, ...]:
         return self._simplices.get(degree, ())
+
+    def faces(self, degree: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The boundary table: per simplex of ``degree``, in :meth:`simplices`
+        order, its faces as (index in degree - 1, sign) pairs."""
+        return self._faces.get(degree, ())
 
     def __contains__(self, simplex: Sequence[int]) -> bool:
         canonical, _ = _sort_with_sign(tuple(simplex))
@@ -102,13 +119,11 @@ class SimplicialComplex:
         Rows are indexed by (degree-1)-simplices, columns by degree-simplices;
         every entry is 0 or +-1, as ``int``.
         """
-        rows = self.simplices(degree - 1)
-        cols = self.simplices(degree)
-        matrix = [[0] * len(cols) for _ in rows]
-        for j, spx in enumerate(cols):
-            for i in range(len(spx)):
-                face = spx[:i] + spx[i + 1 :]
-                matrix[self._index[degree - 1][face]][j] = (-1) ** i
+        cols = len(self.simplices(degree))
+        matrix = [[0] * cols for _ in self.simplices(degree - 1)]
+        for j, faces in enumerate(self.faces(degree)):
+            for i, sign in faces:
+                matrix[i][j] = sign
         return matrix
 
     def components(self) -> list[tuple[int, ...]]:
@@ -168,7 +183,8 @@ class _GradedMap:
 
     def __getitem__(self, simplex: Sequence[int]) -> Fraction:
         canonical, sign = _sort_with_sign(tuple(simplex))
-        return self._data.get(canonical, Fraction(0)) * sign
+        value = self._data.get(canonical, Fraction(0))
+        return value if sign > 0 else -value
 
     def items(self):
         return sorted(self._data.items())
@@ -245,13 +261,16 @@ def boundary(complex_: SimplicialComplex, chain: Chain) -> Chain:
     """Alternating-sign face expansion, extended linearly."""
     if chain.degree == 0:
         raise ValueError("boundary of a degree-0 chain is undefined")
+    index = complex_._index.get(chain.degree, {})
+    lower = complex_.simplices(chain.degree - 1)
+    faces = complex_.faces(chain.degree)
     data: dict[Simplex, Fraction] = {}
     for spx, coeff in chain.items():
-        if spx not in complex_:
+        if spx not in index:
             raise ValueError(f"simplex {spx} not in complex")
-        for i in range(len(spx)):
-            face = spx[:i] + spx[i + 1 :]
-            value = data.get(face, Fraction(0)) + coeff * (-1) ** i
+        for i, sign in faces[index[spx]]:
+            face = lower[i]
+            value = data.get(face, Fraction(0)) + coeff * sign
             if value == 0:
                 data.pop(face, None)
             else:
@@ -262,12 +281,11 @@ def boundary(complex_: SimplicialComplex, chain: Chain) -> Chain:
 def coboundary(complex_: SimplicialComplex, cochain: Cochain) -> Cochain:
     """The adjoint of boundary: ``pair(coboundary(w), S) == pair(w, boundary(S))``."""
     degree = cochain.degree + 1
+    lower = complex_.simplices(cochain.degree)
+    values = cochain._data
     data: dict[Simplex, Fraction] = {}
-    for spx in complex_.simplices(degree):
-        total = Fraction(0)
-        for i in range(len(spx)):
-            face = spx[:i] + spx[i + 1 :]
-            total += (-1) ** i * cochain[face]
+    for spx, faces in zip(complex_.simplices(degree), complex_.faces(degree)):
+        total = sum(sign * values.get(lower[i], 0) for i, sign in faces)
         if total != 0:
             data[spx] = total
     return Cochain(degree, data)
@@ -343,6 +361,41 @@ def cohomology_basis(complex_: SimplicialComplex, degree: int) -> list[Cochain]:
     ]
 
 
+def potential(
+    complex_: SimplicialComplex,
+    xi: Cochain,
+    edges: Sequence[Simplex] | None = None,
+) -> Cochain:
+    """Least-squares potential of the edge cochain xi, through the vertex Laplacian.
+
+    Minimises the squared residual of ``coboundary(potential) - xi`` over
+    ``edges`` (every edge of the complex by default).  The gauge: the first
+    (smallest) vertex of each connected component of ``edges`` is pinned
+    to 0.  The Laplacian is read off the boundary table on ints; only the
+    right-hand side is rational.
+    """
+    edges = complex_.simplices(1) if edges is None else edges
+    vertices = complex_.vertices
+    lap = [[0] * len(vertices) for _ in vertices]
+    rhs = [Fraction(0)] * len(vertices)
+    for edge in edges:
+        value = xi[edge]
+        ends = complex_.faces(1)[complex_._index[1][edge]]
+        for i, sign in ends:
+            rhs[i] += sign * value
+            for j, other in ends:
+                lap[i][j] += sign * other
+    pinned = {component[0] for component in components(vertices, edges)}
+    free = [i for i, v in enumerate(vertices) if v not in pinned]
+    if not any(rhs[i] for i in free):  # no divergence: xi is its own residual
+        return Cochain(0)
+    system = [[lap[i][j] for j in free] for i in free]
+    solution = linalg.solve(system, [rhs[i] for i in free], len(free))
+    if solution is None:
+        raise AssertionError("reduced Laplacian system must be solvable")
+    return Cochain(0, {(vertices[i],): x for i, x in zip(free, solution)})
+
+
 @dataclass(frozen=True)
 class PotentialResult:
     """Outcome of an exactness test: a status and, when exact, a potential."""
@@ -354,16 +407,20 @@ class PotentialResult:
 def is_exact(complex_: SimplicialComplex, cochain: Cochain) -> PotentialResult:
     """Solve ``coboundary(c) == cochain`` exactly, if possible.
 
-    Degree-1 inputs are integrated along a spanning tree per component (the
-    potential is pinned to 0 at the first vertex of each component); higher
-    degrees go through a general rational solve.  A nonzero coboundary yields
-    the "not_closed" verdict and closed-but-inexact input yields
-    "no_potential".
+    A nonzero coboundary yields the "not_closed" verdict and closed-but-
+    inexact input yields "no_potential".  Degree 1 takes the least-squares
+    :func:`potential` and is exact when its coboundary equals the cochain on
+    the complex's edges (values off the complex are ignored); higher
+    degrees go through a general rational solve.
     """
     if not coboundary(complex_, cochain).is_zero:
         return PotentialResult("not_closed")
     if cochain.degree == 1:
-        return _integrate_edge_cochain(complex_, cochain)
+        found = potential(complex_, cochain)
+        fitted = coboundary(complex_, found)
+        if any(fitted[e] != cochain[e] for e in complex_.simplices(1)):
+            return PotentialResult("no_potential")
+        return PotentialResult("exact", found)
     if cochain.degree == 0:
         # exact 0-cochains are coboundaries of nothing: only the zero cochain
         if cochain.is_zero:
@@ -375,35 +432,9 @@ def is_exact(complex_: SimplicialComplex, cochain: Cochain) -> PotentialResult:
     solution = linalg.solve(matrix, rhs, len(lower))
     if solution is None:
         return PotentialResult("no_potential")
-    potential = Cochain(
-        cochain.degree - 1, {s: v for s, v in zip(lower, solution) if v != 0}
-    )
-    return PotentialResult("exact", potential)
-
-
-def _integrate_edge_cochain(
-    complex_: SimplicialComplex, cochain: Cochain
-) -> PotentialResult:
-    adjacency: dict[int, list[int]] = {v: [] for v in complex_.vertices}
-    for a, b in complex_.simplices(1):
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    values: dict[int, Fraction] = {}
-    for component in complex_.components():
-        root = component[0]
-        values[root] = Fraction(0)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in values:
-                    values[w] = values[v] + cochain[(v, w)]
-                    stack.append(w)
-    for a, b in complex_.simplices(1):
-        if values[b] - values[a] != cochain[(a, b)]:
-            return PotentialResult("no_potential")
     return PotentialResult(
-        "exact", Cochain(0, {(v,): x for v, x in values.items() if x != 0})
+        "exact",
+        Cochain(cochain.degree - 1, {s: v for s, v in zip(lower, solution) if v != 0}),
     )
 
 

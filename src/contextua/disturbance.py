@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import ddg
-from .connection import ConnectionDecomposition, ObjectComplex, _potential
+from .connection import ConnectionDecomposition, ObjectComplex
 from .core_model import (
     EmpiricalModel,
     context_overlaps,
@@ -103,7 +103,7 @@ def decompose_with_eta(
                 raise ValueError(f"chart map missing vertex {v}")
     kept = [e for e in edges if charts[e[0]] == charts[e[1]]]
 
-    potential = _potential(complex_, xi, kept)
+    potential = ddg.potential(complex_, xi, kept)
     residual = xi - ddg.coboundary(complex_, potential)
     kept_set = set(kept)
     omega = ddg.Cochain(1, {e: residual[e] for e in kept_set})

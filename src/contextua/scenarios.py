@@ -289,8 +289,19 @@ _TWO_PARTY = CompatibilityHypergraph(
 )
 
 
-def _two_party_model(correlators: Sequence[Fraction]) -> EmpiricalModel:
-    """Uniform-marginal two-party model from four exact correlators."""
+def _two_party_model(tables: Sequence[Sequence[Fraction]]) -> EmpiricalModel:
+    """The model on ``_TWO_PARTY`` with these four context tables."""
+    return _check_model(
+        EmpiricalModel(
+            hypergraph=_TWO_PARTY,
+            outcomes={m: 2 for m in _TWO_PARTY.measurements},
+            tables=tuple(tuple(t) for t in tables),
+        )
+    )
+
+
+def _correlator_tables(correlators: Sequence[Fraction]) -> list[tuple]:
+    """Uniform-marginal context tables from four exact correlators."""
     tables = []
     for c in correlators:
         if abs(c) > 1:
@@ -298,19 +309,13 @@ def _two_party_model(correlators: Sequence[Fraction]) -> EmpiricalModel:
         agree = (1 + c) / 4
         differ = (1 - c) / 4
         tables.append((agree, differ, differ, agree))
-    return _check_model(
-        EmpiricalModel(
-            hypergraph=_TWO_PARTY,
-            outcomes={m: 2 for m in _TWO_PARTY.measurements},
-            tables=tuple(tables),
-        )
-    )
+    return tables
 
 
 def pr_box() -> EmpiricalModel:
     """Extremal no-signalling box: outcomes agree except when x = y = 1."""
     return _two_party_model(
-        (Fraction(1), Fraction(1), Fraction(1), Fraction(-1))
+        _correlator_tables((Fraction(1), Fraction(1), Fraction(1), Fraction(-1)))
     )
 
 
@@ -320,16 +325,8 @@ def two_party_model_from_fragment(f: GptFragment) -> EmpiricalModel:
     Effects ``4 * ctx .. 4 * ctx + 3`` are the row-major outcome table of
     context ``ctx``, in the measurement order of :func:`pr_box_fragment`.
     """
-    tables = tuple(
-        tuple(probability(f, 0, 4 * ctx + flat) for flat in range(4))
-        for ctx in range(4)
-    )
-    return _check_model(
-        EmpiricalModel(
-            hypergraph=_TWO_PARTY,
-            outcomes={m: 2 for m in _TWO_PARTY.measurements},
-            tables=tables,
-        )
+    return _two_party_model(
+        [probability(f, 0, 4 * ctx + flat) for flat in range(4)] for ctx in range(4)
     )
 
 
@@ -369,7 +366,7 @@ def chsh_quantum(
     correlators = tuple(
         rationalize(math.cos(x - y)) for x in (a0, a1) for y in (b0, b1)
     )
-    return _two_party_model(correlators)
+    return _two_party_model(_correlator_tables(correlators))
 
 
 def chsh_value(m: EmpiricalModel) -> Fraction:

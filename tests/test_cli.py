@@ -202,6 +202,21 @@ def test_complex_files_over_the_face_cap_exit_2(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    ['{"ab": 1}', '[["a", "b", "c"]]', "[[0.5, 1]]", "[[true, 2]]", "[[1e300, 2]]",
+     "7", '[[0, 1], ["' + "9" * 5000 + '"]]'],
+)
+def test_complex_files_take_json_integer_vertex_ids_only(capsys, tmp_path, doc):
+    path = tmp_path / "complex.json"
+    path.write_text(doc)
+    for argv in (["homology", str(path)], ["vorobyev", "--generalized", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "bad complex file" in err and len(err.splitlines()) == 1
+        assert len(err) < 200 + len(str(path))
+
+
 def test_face_cap_is_checked_before_any_closure(capsys, tmp_path, monkeypatch):
     def refuse(simplices):
         raise AssertionError("a capped complex must not be closed")

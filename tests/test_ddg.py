@@ -264,6 +264,40 @@ def test_boundary_matrices_are_integer():
         assert all(type(x) is int for row in k.boundary_matrix(n) for x in row)
 
 
+def _face_rule_matrix(k, degree):
+    """The boundary matrix written out from the face rule: face i of a
+    simplex drops vertex i and carries sign (-1)**i."""
+    rows = list(k.simplices(degree - 1))
+    matrix = [[0] * len(k.simplices(degree)) for _ in rows]
+    for j, spx in enumerate(k.simplices(degree)):
+        for i in range(len(spx)):
+            matrix[rows.index(spx[:i] + spx[i + 1 :])][j] = (-1) ** i
+    return matrix
+
+
+def _times(matrix, vector):
+    return [sum((a * x for a, x in zip(row, vector)), Fraction(0)) for row in matrix]
+
+
+def test_boundary_operators_are_the_boundary_matrix():
+    cases = [(SimplicialComplex(PROJECTIVE_PLANE), Random(-1))] + [
+        (random_complex(Random(seed)), Random(seed)) for seed in range(300)
+    ]
+    for k, rng in cases:
+        for degree in range(1, k.dimension + 2):
+            matrix = k.boundary_matrix(degree)
+            assert matrix == _face_rule_matrix(k, degree)
+            low, high = k.simplices(degree - 1), k.simplices(degree)
+            c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in high]
+            w = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in low]
+            assert boundary(k, Chain(degree, dict(zip(high, c)))) == Chain(
+                degree - 1, dict(zip(low, _times(matrix, c)))
+            )
+            assert coboundary(k, Cochain(degree - 1, dict(zip(low, w)))) == Cochain(
+                degree, dict(zip(high, _times(linalg.transpose(matrix), w)))
+            )
+
+
 def test_components_of_a_graph():
     assert ddg.components([5, 1, 3, -2, 4], [(1, 5), (4, 5)]) == [
         (-2,), (1, 4, 5), (3,)
@@ -318,6 +352,33 @@ def test_potential_is_pinned_at_component_roots():
     c = result.potential
     assert c[(1,)] == 0 and c[(7,)] == 0
     assert c[(2,)] == Fraction(1, 2) and c[(3,)] == Fraction(3, 2) and c[(8,)] == -2
+
+
+def test_is_exact_on_a_complex_with_no_edges():
+    result = is_exact(SimplicialComplex([(1,), (4,)]), Cochain(1))
+    assert result.status == "exact" and result.potential.is_zero
+
+
+def test_is_exact_ignores_values_off_the_complex():
+    k = SimplicialComplex([(1, 2), (2, 3)])
+    on = {(1, 2): Fraction(1, 2), (2, 3): Fraction(-1)}
+    stray = Cochain(1, {**on, (1, 3): Fraction(5)})
+    assert is_exact(k, stray) == is_exact(k, Cochain(1, on))
+    assert is_exact(k, stray).status == "exact"
+
+
+def test_potential_leaves_a_residual_with_no_divergence():
+    for seed in range(100):
+        k = random_complex(Random(seed))
+        rng = Random(seed)
+        xi = Cochain(
+            1, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for e in k.simplices(1)}
+        )
+        phi = ddg.potential(k, xi)
+        assert all(phi[c[:1]] == 0 for c in k.components())
+        residual = xi - coboundary(k, phi)
+        assert boundary(k, Chain(1, residual.values)).is_zero
+        assert ddg.potential(k, residual).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,18 @@ from contextua.disturbance import (
     extend_scenario,
     fractions_with_disturbance,
 )
-from contextua.noncontextuality import contextual_fraction
-from contextua.scenarios import nudged_box, planted_gap_model
+from contextua.core_model import (
+    effect_equivalences,
+    state_equivalences,
+    validate_fragment,
+)
+from contextua.interference import all_i2
+from contextua.noncontextuality import (
+    contextual_fraction,
+    minimal_negativity,
+    noncontextual_lp,
+)
+from contextua.scenarios import SCENARIOS, nudged_box, planted_gap_model
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ("corpus_summary.py", "disturbance_gap_report.py", "sweep_pr_noise.py")
@@ -65,3 +75,45 @@ def test_disturbance_gap_report_matches_the_library():
         assert fields[1:] == [str(x) for x in expected]
         rows += 1
     assert rows == 10
+
+
+def _corpus_row(kind, obj):
+    """The fields corpus_summary.py prints for one scenario, from the library."""
+    if kind == "fragment":
+        loops = len(state_equivalences(obj)) + len(
+            effect_equivalences(obj, include_unit=True)
+        )
+        return [
+            str(obj.dimension),
+            "ok" if validate_fragment(obj).ok else "BROKEN",
+            str(loops),
+            noncontextual_lp(obj).status,
+            str(minimal_negativity(obj)[1]),
+        ]
+    if kind == "model":
+        split = fractions_with_disturbance(obj)
+        return [str(len(obj.hypergraph.contexts)), str(split.ncf), str(split.cf), str(split.df)]
+    pairs = all_i2(obj)
+    worst = max(pairs.values(), key=abs, default=Fraction(0))
+    return [str(len(obj.atoms)), str(len(pairs)), f"{float(worst):.6f}"]
+
+
+def test_corpus_summary_matches_the_library():
+    done = run_script("corpus_summary.py")
+    assert done.returncode == 0, done.stderr
+    headers = {"fragment": "fragment", "table": "model", "measure": "measure"}
+    kind = None
+    seen = {}
+    for line in done.stdout.splitlines():
+        fields = line.split()
+        if not fields:
+            continue
+        if fields[0] in headers:
+            kind = headers[fields[0]]
+            continue
+        name, *values = fields
+        made_kind, factory = SCENARIOS[name]
+        assert made_kind == kind, name
+        assert values == _corpus_row(kind, factory()), name
+        seen[name] = kind
+    assert sorted(seen) == sorted(SCENARIOS)
