@@ -5,7 +5,7 @@ For each mixing weight w the extremal two-party box is blended with uniform
 noise.  The sweep reports the embedding verdict and minimal negativity of
 the blended fragment next to the contextual fraction of the blended table,
 then bisects for the weight where the embedding first fails.  The default
-grid and bisection take about 6 s in all (Python 3.11, one core).
+grid and bisection take about 4.5 s in all (Python 3.11, one core).
 """
 
 import argparse

@@ -111,8 +111,10 @@ COMPLEX_CLI_MAX_FACES = 2**10 - 1
 
 
 def _parse_complex(text: str) -> ddg.SimplicialComplex:
-    """A list of simplices of JSON integer vertex ids, refused when its face
-    closure could exceed :data:`COMPLEX_CLI_MAX_FACES` (the library takes any)."""
+    """A list of simplices, each of distinct JSON integer vertex ids, refused
+    when its face closure could exceed :data:`COMPLEX_CLI_MAX_FACES` (the
+    library takes any).  Errors name a simplex by its position, never by its
+    ids, which may be arbitrarily long."""
     doc = json.loads(text)
     if type(doc) is not list:
         raise ValueError("a complex is a list of simplices")
@@ -121,7 +123,9 @@ def _parse_complex(text: str) -> ddg.SimplicialComplex:
         if type(simplex) is not list or any(type(v) is not int for v in simplex):
             raise ValueError(f"simplex {position} is not a list of integer vertex ids")
         k = len(set(simplex))
-        faces += 2**k - 1 if k == len(simplex) else 0  # else degenerate
+        if k != len(simplex):
+            raise ValueError(f"simplex {position} repeats a vertex id")
+        faces += 2**k - 1
     if faces > COMPLEX_CLI_MAX_FACES:
         raise ValueError(
             f"its simplices close to up to {faces} faces, over the "

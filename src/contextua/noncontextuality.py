@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -81,19 +82,22 @@ def _cut_vertices(dim, extras):
     """Vertex set of {t in [0, 1]^dim : a.t <= beta for (a, beta) in extras}.
 
     Incremental double description seeded on the unit cube's corners.  Each
-    vertex carries its incidence (the labels of the constraints it lies
-    on: 2k + b for the cube face t_k = b, then one per cut) forward: a
+    vertex carries its incidence (a bitmask of the constraints it lies on:
+    bit 2k + b for the cube face t_k = b, then one per cut) forward: a
     surviving vertex gains at most the current cut, and a new vertex on the
     edge between i and j meets exactly the constraints the two share plus
     the cut.  Two vertices are adjacent when no third vertex lies on every
-    constraint they share, which stays exact under degeneracy.
+    constraint they share, which stays exact under degeneracy.  An edge
+    lies on at least dim - 1 constraints, so a pair sharing fewer is no
+    edge and skips that scan.
     """
     points = []
     zeros = []
     for bits in product((0, 1), repeat=dim):
         points.append(tuple((_ZERO, _ONE)[b] for b in bits))
-        zeros.append(frozenset(2 * k + b for k, b in enumerate(bits)))
+        zeros.append(sum(1 << (2 * k + b) for k, b in enumerate(bits)))
     for label, (a, beta) in enumerate(extras, start=2 * dim):
+        bit = 1 << label
         margins = [sum(c * x for c, x in zip(a, p)) - beta for p in points]
         keep = [i for i, v in enumerate(margins) if v < 0]
         on = [i for i, v in enumerate(margins) if v == 0]
@@ -101,14 +105,14 @@ def _cut_vertices(dim, extras):
         if not keep and not on:
             return []
         for i in on:
-            zeros[i] |= {label}
+            zeros[i] |= bit
         new_points = []
         new_zeros = []
         for i in keep:
             for j in drop:
                 shared = zeros[i] & zeros[j]
-                if any(
-                    w != i and w != j and shared <= zeros[w]
+                if shared.bit_count() < dim - 1 or any(
+                    w != i and w != j and shared & zeros[w] == shared
                     for w in range(len(points))
                 ):
                     continue
@@ -119,7 +123,7 @@ def _cut_vertices(dim, extras):
                         for x, y in zip(points[i], points[j])
                     )
                 )
-                new_zeros.append(shared | {label})
+                new_zeros.append(shared | bit)
         survivors = keep + on
         points = [points[i] for i in survivors] + new_points
         zeros = [zeros[i] for i in survivors] + new_zeros
@@ -143,6 +147,10 @@ def response_vertices(
     Equivalence coefficients may reference index ``len(f.effects)``, which
     stands for the unit effect and contributes its constant value 1 to the
     equality's right-hand side.
+
+    The enumeration is memoised in-process on the exact equality system,
+    for the :data:`POLYTOPE_MEMO_SIZE` most recently used systems; the
+    ``limits`` and the equivalences are checked on every call.
     """
     if eqs is None:
         eqs = effect_equivalences(f, include_unit=True)
@@ -173,7 +181,23 @@ def response_vertices(
             else:
                 raise ValueError(f"equivalence references missing effect {r}")
         equalities.append((tuple(row), rhs))
+    return _polytope(tuple(equalities), n)
 
+
+#: How many equality systems keep their response polytope memoised.  A noise
+#: sweep reuses one system; a round of fragments with their own effects,
+#: such as the benchmark's embedding workload, uses 18.
+POLYTOPE_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=POLYTOPE_MEMO_SIZE)
+def _polytope(
+    equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...], n: int
+) -> ResponsePolytope:
+    """The response polytope of the exact system ``row . x = rhs`` over
+    ``[0, 1]^n``, memoised on that system: it depends on the effects and
+    their dependencies, never on the states, and its tuples are safe to
+    share."""
     reduced, pivots = linalg.rref([[*row, rhs] for row, rhs in equalities])
     if pivots and pivots[-1] == n:  # a row 0 = 1: no solution at all
         return ResponsePolytope("empty", ())

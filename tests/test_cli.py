@@ -205,7 +205,8 @@ def test_complex_files_over_the_face_cap_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize(
     "doc",
     ['{"ab": 1}', '[["a", "b", "c"]]', "[[0.5, 1]]", "[[true, 2]]", "[[1e300, 2]]",
-     "7", '[[0, 1], ["' + "9" * 5000 + '"]]'],
+     "7", '[[0, 1], ["' + "9" * 5000 + '"]]', "[[0, 1], [2, 2]]",
+     "[[" + "9" * 4000 + ", " + "9" * 4000 + "]]"],
 )
 def test_complex_files_take_json_integer_vertex_ids_only(capsys, tmp_path, doc):
     path = tmp_path / "complex.json"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from contextua import linalg
+from contextua import linalg, noncontextuality
 from contextua.core_model import (
     EmpiricalModel,
     GptFragment,
@@ -298,6 +298,43 @@ def test_scale_caps_raise_early():
     ]
     with pytest.raises(ScaleCapError):
         response_vertices(f, many)
+
+
+def test_a_noise_sweep_enumerates_its_polytope_once(monkeypatch):
+    """The polytope depends on the effects alone, so every weight of the
+    noisy extremal box reuses the first weight's enumeration."""
+    noncontextuality._polytope.cache_clear()
+    calls = []
+    enumerate_cut = noncontextuality._cut_vertices
+
+    def counting(dim, extras):
+        calls.append(dim)
+        return enumerate_cut(dim, extras)
+
+    monkeypatch.setattr(noncontextuality, "_cut_vertices", counting)
+    full = response_vertices(noisy_pr_fragment(1))
+    half = response_vertices(noisy_pr_fragment(Fraction(1, 2)))
+    assert len(calls) == 1
+    assert half == full and len(full.vertices) == 24
+
+
+def test_the_memo_keys_on_the_equivalences():
+    f = halving_fragment()
+    assert len(response_vertices(f).vertices) == 2
+    assert len(response_vertices(f, []).vertices) == 4
+    assert len(response_vertices(f).vertices) == 2
+
+
+@pytest.mark.parametrize("k", range(0, 40, 3))
+def test_a_memo_hit_equals_a_cold_enumeration(k):
+    noncontextuality._polytope.cache_clear()
+    response_vertices(random_fragment(Random(k)))
+    hit = response_vertices(random_fragment(Random(k)))
+    assert noncontextuality._polytope.cache_info().hits == 1
+    noncontextuality._polytope.cache_clear()
+    cold = response_vertices(random_fragment(Random(k)))
+    assert noncontextuality._polytope.cache_info().hits == 0
+    assert hit == cold and repr(hit) == repr(cold)
 
 
 # -- feasibility LP ----------------------------------------------------------
@@ -648,6 +685,9 @@ def test_limits_are_per_call():
     with pytest.raises(ScaleCapError):
         response_vertices(gbit(), limits=Limits(effects=3))
     assert not response_vertices(gbit()).is_empty
+    for limits in (Limits(effects=3), Limits(equivalences=0)):  # on a memo hit
+        with pytest.raises(ScaleCapError):
+            response_vertices(gbit(), limits=limits)
     for analysis in (contextual_fraction, fractions_with_disturbance):
         with pytest.raises(ScaleCapError):
             analysis(pr_box(), limits=Limits(assignments=8))
