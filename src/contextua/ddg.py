@@ -5,6 +5,10 @@ boundary / coboundary, the integration pairing, integer homology (Smith normal
 form, cross-checked against rational ranks), rational cohomology bases, and
 one least-squares potential solver, which also decides exactness in degree 1.
 Each complex records its faces once; every boundary map reads that table.
+A complex never changes after it is built, so what depends on it alone is
+computed the first time it is asked for and kept on it: the rank and the
+Smith factors of each boundary, and the potential solver's Laplacian inverse
+per edge set.
 
 Orientation convention: a simplex is stored as a strictly increasing vertex
 tuple and carries the orientation induced by that order.  Chain and cochain
@@ -14,14 +18,15 @@ sign into the coefficient, so ``{(b, a): x}`` means ``-x`` on ``(a, b)``.
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
-from ._rat import format_rational, parse_rational
+from ._rat import format_rational
 
 Simplex = tuple[int, ...]
 
@@ -74,6 +79,8 @@ class SimplicialComplex:
             )
             for dim, spxs in self._simplices.items() if dim > 0
         }
+        # results that depend on the complex alone, filled by _stored
+        self._store: dict = {}
 
     @property
     def dimension(self) -> int:
@@ -98,21 +105,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** dim * len(spxs) for dim, spxs in self._simplices.items())
 
-    def maximal_simplices(self) -> list[Simplex]:
-        out = []
-        for dim in sorted(self._simplices):
-            for spx in self._simplices[dim]:
-                vs = set(spx)
-                is_face = any(
-                    vs < set(other)
-                    for d2 in self._simplices
-                    if d2 > dim
-                    for other in self._simplices[d2]
-                )
-                if not is_face:
-                    out.append(spx)
-        return out
-
     def boundary_matrix(self, degree: int) -> list[list[int]]:
         """Integer matrix of the boundary map from degree to degree-1.
 
@@ -136,6 +128,14 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         counts = {dim: len(s) for dim, s in self._simplices.items()}
         return f"SimplicialComplex({counts})"
+
+
+def _stored(complex_: SimplicialComplex, key, compute: Callable):
+    """``compute()``, kept on the complex under ``key`` after the first call."""
+    store = complex_._store
+    if key not in store:
+        store[key] = compute()
+    return store[key]
 
 
 def components(
@@ -173,13 +173,26 @@ class _GradedMap:
             canonical, sign = _sort_with_sign(tuple(spx))
             if len(canonical) - 1 != degree:
                 raise ValueError(f"simplex {spx} does not have degree {degree}")
-            value = Fraction(value) * sign
-            value = normalized.get(canonical, Fraction(0)) + value
-            if value == 0:
-                normalized.pop(canonical, None)
-            else:
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            if sign < 0:
+                value = -value
+            if canonical in normalized:
+                value += normalized[canonical]
+            if value:
                 normalized[canonical] = value
+            else:
+                normalized.pop(canonical, None)
         self._data = normalized
+
+    @classmethod
+    def _canonical(cls, degree: int, data: dict[Simplex, Fraction]):
+        """A map over ``data`` as it is: ascending simplices of ``degree``
+        and nonzero Fraction values, so nothing is normalized again."""
+        result = cls.__new__(cls)
+        result.degree = degree
+        result._data = data
+        return result
 
     def __getitem__(self, simplex: Sequence[int]) -> Fraction:
         canonical, sign = _sort_with_sign(tuple(simplex))
@@ -205,14 +218,13 @@ class _GradedMap:
             raise ValueError("degree or type mismatch")
         data = dict(self._data)
         for spx, value in other._data.items():
-            value = data.get(spx, Fraction(0)) + flip * value
-            if value == 0:
-                data.pop(spx, None)
-            else:
+            old = data.get(spx, 0)
+            value = old + value if flip > 0 else old - value
+            if value:
                 data[spx] = value
-        result = type(self)(self.degree)
-        result._data = data
-        return result
+            else:
+                data.pop(spx, None)
+        return self._canonical(self.degree, data)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -222,10 +234,9 @@ class _GradedMap:
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
-        result = type(self)(self.degree)
-        if scalar != 0:
-            result._data = {s: scalar * v for s, v in self._data.items()}
-        return result
+        if not scalar:
+            return self._canonical(self.degree, {})
+        return self._canonical(self.degree, {s: scalar * v for s, v in self._data.items()})
 
     def __neg__(self):
         return Fraction(-1) * self
@@ -270,12 +281,13 @@ def boundary(complex_: SimplicialComplex, chain: Chain) -> Chain:
             raise ValueError(f"simplex {spx} not in complex")
         for i, sign in faces[index[spx]]:
             face = lower[i]
-            value = data.get(face, Fraction(0)) + coeff * sign
-            if value == 0:
-                data.pop(face, None)
-            else:
+            old = data.get(face, 0)
+            value = old + coeff if sign > 0 else old - coeff
+            if value:
                 data[face] = value
-    return Chain(chain.degree - 1, data)
+            else:
+                data.pop(face, None)
+    return Chain._canonical(chain.degree - 1, data)
 
 
 def coboundary(complex_: SimplicialComplex, cochain: Cochain) -> Cochain:
@@ -285,10 +297,14 @@ def coboundary(complex_: SimplicialComplex, cochain: Cochain) -> Cochain:
     values = cochain._data
     data: dict[Simplex, Fraction] = {}
     for spx, faces in zip(complex_.simplices(degree), complex_.faces(degree)):
-        total = sum(sign * values.get(lower[i], 0) for i, sign in faces)
-        if total != 0:
+        total = 0
+        for i, sign in faces:
+            value = values.get(lower[i])
+            if value is not None:
+                total = total + value if sign > 0 else total - value
+        if total:
             data[spx] = total
-    return Cochain(degree, data)
+    return Cochain._canonical(degree, data)
 
 
 def pair(cochain: Cochain, chain: Chain) -> Fraction:
@@ -297,7 +313,10 @@ def pair(cochain: Cochain, chain: Chain) -> Fraction:
         raise ValueError(
             f"degree mismatch: cochain {cochain.degree}, chain {chain.degree}"
         )
-    return sum((cochain[s] * c for s, c in chain.items()), Fraction(0))
+    values = cochain._data
+    return sum(
+        (values[s] * c for s, c in chain._data.items() if s in values), Fraction(0)
+    )
 
 
 @dataclass(frozen=True)
@@ -313,7 +332,8 @@ def homology(complex_: SimplicialComplex, degree: int) -> HomologyGroup:
     Betti numbers come from rational ranks; torsion from the integer Smith
     normal form of the next boundary matrix.  The two computations share
     nothing, and the rank read off the Smith form is asserted against the
-    rational rank as an internal cross-check.
+    rational rank as an internal cross-check.  Each boundary's rank and
+    Smith factors are computed once per complex and kept.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -321,17 +341,34 @@ def homology(complex_: SimplicialComplex, degree: int) -> HomologyGroup:
     if degree == 0:
         kernel_dim = n_here
     else:
-        kernel_dim = n_here - linalg.rank(complex_.boundary_matrix(degree))
-    next_boundary = complex_.boundary_matrix(degree + 1)
-    rational_rank = linalg.rank(next_boundary)
-    factors = linalg.smith_normal_form(next_boundary)
-    if len(factors) != rational_rank:
-        raise AssertionError(
-            "Smith rank disagrees with rational rank: "
-            f"{len(factors)} vs {rational_rank}"
-        )
-    torsion = tuple(sorted(d for d in factors if d > 1))
+        kernel_dim = n_here - _boundary_rank(complex_, degree)
+    rational_rank = _boundary_rank(complex_, degree + 1)
+    torsion = tuple(sorted(d for d in _smith_factors(complex_, degree + 1) if d > 1))
     return HomologyGroup(degree, kernel_dim - rational_rank, torsion)
+
+
+def _boundary_rank(complex_: SimplicialComplex, degree: int) -> int:
+    """Rational rank of the boundary out of ``degree``, kept on the complex."""
+    return _stored(
+        complex_, ("rank", degree), lambda: linalg.rank(complex_.boundary_matrix(degree))
+    )
+
+
+def _smith_factors(complex_: SimplicialComplex, degree: int) -> tuple[int, ...]:
+    """Smith invariant factors of the boundary out of ``degree``, checked
+    once against its rational rank and kept on the complex."""
+
+    def compute():
+        factors = linalg.smith_normal_form(complex_.boundary_matrix(degree))
+        rational_rank = _boundary_rank(complex_, degree)
+        if len(factors) != rational_rank:
+            raise AssertionError(
+                "Smith rank disagrees with rational rank: "
+                f"{len(factors)} vs {rational_rank}"
+            )
+        return tuple(factors)
+
+    return _stored(complex_, ("smith", degree), compute)
 
 
 def cohomology_basis(complex_: SimplicialComplex, degree: int) -> list[Cochain]:
@@ -371,29 +408,76 @@ def potential(
     Minimises the squared residual of ``coboundary(potential) - xi`` over
     ``edges`` (every edge of the complex by default).  The gauge: the first
     (smallest) vertex of each connected component of ``edges`` is pinned
-    to 0.  The Laplacian is read off the boundary table on ints; only the
-    right-hand side is rational.
+    to 0.  The reduced Laplacian is nonsingular, so the potential is
+    unique; its inverse is computed once per complex and edge set (see
+    :func:`_laplacian_inverse`), and a call scales xi's values to ints
+    over the lcm of their denominators, multiplies, and makes one Fraction
+    per nonzero vertex value.
     """
-    edges = complex_.simplices(1) if edges is None else edges
+    edges = complex_.simplices(1) if edges is None else tuple(edges)
+    ends, rows, inverse_den = _stored(
+        complex_, ("potential", edges), lambda: _laplacian_inverse(complex_, edges)
+    )
+    # the divergence of xi, as ints over the lcm of its denominators
+    values = xi._data
+    xs = [values.get(edge) for edge in edges]
+    rhs_den = lcm(*(x.denominator for x in xs if x is not None))
+    rhs = [0] * len(complex_.simplices(0))
+    for (head, tail), x in zip(ends, xs):
+        if x is not None:
+            scaled = x.numerator * (rhs_den // x.denominator)
+            rhs[head] += scaled
+            rhs[tail] -= scaled
+    den = rhs_den * inverse_den
+    data: dict[Simplex, Fraction] = {}
+    for vertex, row in rows:
+        total = sum(a * rhs[j] for j, a in row)
+        if total:
+            data[vertex] = Fraction(total, den)
+    return Cochain._canonical(0, data)
+
+
+def _laplacian_inverse(complex_: SimplicialComplex, edges: tuple[Simplex, ...]):
+    """What :func:`potential` needs of one edge set, as ``(ends, rows, den)``.
+
+    ``ends`` holds each edge's (head, tail) vertex indices; the divergence
+    of xi is ``rhs[head] += x, rhs[tail] -= x``.  The Laplacian restricted
+    to the vertices that are not pinned splits into the connected blocks of
+    the graph on those vertices (in an object complex, a 1x1 block per
+    object and one per dependence polygon), and each block is inverted on
+    its own.  ``rows`` holds, per unpinned vertex in vertex order, its key
+    and its row of the inverse as (vertex index, int) pairs, the ints over
+    the one denominator ``den``.
+    """
+    index = complex_._index.get(1, {})
+    ends = tuple(
+        tuple(i for i, _ in complex_.faces(1)[index[edge]]) for edge in edges
+    )
     vertices = complex_.vertices
-    lap = [[0] * len(vertices) for _ in vertices]
-    rhs = [Fraction(0)] * len(vertices)
-    for edge in edges:
-        value = xi[edge]
-        ends = complex_.faces(1)[complex_._index[1][edge]]
-        for i, sign in ends:
-            rhs[i] += sign * value
-            for j, other in ends:
-                lap[i][j] += sign * other
     pinned = {component[0] for component in components(vertices, edges)}
     free = [i for i, v in enumerate(vertices) if v not in pinned]
-    if not any(rhs[i] for i in free):  # no divergence: xi is its own residual
-        return Cochain(0)
-    system = [[lap[i][j] for j in free] for i in free]
-    solution = linalg.solve(system, [rhs[i] for i in free], len(free))
-    if solution is None:
-        raise AssertionError("reduced Laplacian system must be solvable")
-    return Cochain(0, {(vertices[i],): x for i, x in zip(free, solution)})
+    lap: Counter[tuple[int, int]] = Counter()
+    for head, tail in ends:
+        lap[head, head] += 1
+        lap[tail, tail] += 1
+        lap[head, tail] -= 1
+        lap[tail, head] -= 1
+    free_set = set(free)
+    inner = [(h, t) for h, t in ends if h in free_set and t in free_set]
+    inverses = []
+    for block in components(free, inner):
+        inverse = linalg.inverse([[lap[i, j] for j in block] for i in block])
+        if inverse is None:
+            raise AssertionError("reduced Laplacian must be nonsingular")
+        inverses.append((block, *inverse))
+    den = lcm(*(block_den for _, _, block_den in inverses))
+    row_of = {
+        i: [(j, a * (den // block_den)) for j, a in zip(block, row) if a]
+        for block, inverse_rows, block_den in inverses
+        for i, row in zip(block, inverse_rows)
+    }
+    rows = tuple(((vertices[i],), row_of[i]) for i in free)
+    return ends, rows, den
 
 
 @dataclass(frozen=True)
@@ -417,8 +501,8 @@ def is_exact(complex_: SimplicialComplex, cochain: Cochain) -> PotentialResult:
         return PotentialResult("not_closed")
     if cochain.degree == 1:
         found = potential(complex_, cochain)
-        fitted = coboundary(complex_, found)
-        if any(fitted[e] != cochain[e] for e in complex_.simplices(1)):
+        fitted, given = coboundary(complex_, found)._data, cochain._data
+        if any(fitted.get(e, 0) != given.get(e, 0) for e in complex_.simplices(1)):
             return PotentialResult("no_potential")
         return PotentialResult("exact", found)
     if cochain.degree == 0:
@@ -435,57 +519,4 @@ def is_exact(complex_: SimplicialComplex, cochain: Cochain) -> PotentialResult:
     return PotentialResult(
         "exact",
         Cochain(cochain.degree - 1, {s: v for s, v in zip(lower, solution) if v != 0}),
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def complex_to_json(complex_: SimplicialComplex) -> str:
-    return json.dumps(
-        [list(s) for s in complex_.maximal_simplices()], sort_keys=True
-    )
-
-
-def complex_from_json(text: str) -> SimplicialComplex:
-    return SimplicialComplex(json.loads(text))
-
-
-def _parse_simplex_key(key: str) -> Simplex:
-    return tuple(int(part) for part in key.split("."))
-
-
-def cochain_to_json(cochain: Cochain) -> str:
-    return json.dumps(
-        {
-            "degree": cochain.degree,
-            "values": cochain.payload(),
-        },
-        sort_keys=True,
-    )
-
-
-def cochain_from_json(text: str) -> Cochain:
-    payload = json.loads(text)
-    return Cochain(
-        payload["degree"],
-        {_parse_simplex_key(k): parse_rational(v) for k, v in payload["values"].items()},
-    )
-
-
-def chain_to_json(chain: Chain) -> str:
-    return json.dumps(
-        {
-            "degree": chain.degree,
-            "coeffs": chain.payload(),
-        },
-        sort_keys=True,
-    )
-
-
-def chain_from_json(text: str) -> Chain:
-    payload = json.loads(text)
-    return Chain(
-        payload["degree"],
-        {_parse_simplex_key(k): parse_rational(v) for k, v in payload["coeffs"].items()},
     )

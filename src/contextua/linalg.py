@@ -7,7 +7,8 @@ and every pivot of the simplex in :mod:`contextua.lp`.  It works on rows of
 Python ints, each over its own positive denominator, so a row stands for
 ``ints / den`` and the inner loop never builds a Fraction.  A row whose
 entry in the pivot column is 0 keeps its value, so it is left alone: sparse
-rows, such as those of a boundary matrix, stay cheap.
+rows, such as those of a boundary matrix, stay cheap.  :func:`inverse` runs
+on the same step and answers as ints over one denominator.
 
 Nothing here is approximate: every pivot, rank and nullspace vector is exact.
 """
@@ -181,13 +182,35 @@ def solve(
     return x
 
 
+def inverse(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int] | None:
+    """The exact inverse of a square matrix as ``(ints, den)``, entry (i, j)
+    being ``ints[i][j] / den`` in lowest terms over the one ``den``; None if
+    the matrix is singular.  A matrix that is not square raises ValueError.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("only a square matrix has an inverse")
+    rows, dens, pivots = _rref_internal(
+        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)
+    )
+    if pivots != list(range(n)):
+        return None
+    den = lcm(*dens)
+    ints = [[x * (den // d) for x in row[n:]] for row, d in zip(rows, dens)]
+    g = gcd(den, *(x for row in ints for x in row))
+    return [[x // g for x in row] for row in ints], den // g
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix, in divisibility order.
 
     Classic elimination: pick the nonzero entry of least magnitude, move it to
     the working corner, reduce its row and column by Euclidean steps, restore
-    the divisibility chain, recurse on the remaining block.  Naive pivoting is
-    fine at the scale of the complexes handled here.
+    the divisibility chain, recurse on the remaining block.  The search for
+    the least entry stops at the first ±1, which is already the first
+    minimum in row-major order; a ±1 pivot divides every entry, so the
+    divisibility check is skipped for it.  On boundary matrices nearly every
+    pivot is ±1.
     """
     m = [[int(x) for x in row] for row in matrix]
     nrows = len(m)
@@ -198,10 +221,15 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
         pr = pc = -1
         best = None
         for i in range(t, nrows):
+            row = m[i]
             for j in range(t, ncols):
-                v = abs(m[i][j])
+                v = abs(row[j])
                 if v != 0 and (best is None or v < best):
                     best, pr, pc = v, i, j
+                    if v == 1:
+                        break
+            if best == 1:
+                break
         if best is None:
             break
         m[t], m[pr] = m[pr], m[t]
@@ -232,16 +260,19 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
                         break
             if done:
                 break
-        # Restore divisibility: the pivot must divide every remaining entry.
+        # Restore divisibility: the pivot must divide every remaining entry
+        # (a ±1 pivot always does).
         pivot = m[t][t]
         offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        if abs(pivot) != 1:
+            offender = next(
+                (
+                    i
+                    for i in range(t + 1, nrows)
+                    if any(m[i][j] % pivot for j in range(t + 1, ncols))
+                ),
+                None,
+            )
         if offender is not None:
             m[t] = [a + b for a, b in zip(m[t], m[offender])]
             continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -168,6 +169,10 @@ def test_entry_points_check_shapes():
         linalg.solve([], [1], 2)
     with pytest.raises(ValueError, match="not 3"):
         linalg.solve([[1, 2]], [1], 3)
+    for not_square in ([[1, 2]], ragged):
+        with pytest.raises(ValueError, match="square"):
+            linalg.inverse(not_square)
+    assert linalg.inverse([]) == ([], 1)  # the 0 x 0 matrix is square
 
 
 def test_transpose_refuses_ragged_rows():
@@ -191,15 +196,35 @@ def test_solve_takes_the_column_count_of_a_matrix_with_no_rows():
     assert linalg.solve([[1, 2]], [1], 2) == [1, 0]
 
 
+@st.composite
+def late_unit_matrix(draw):
+    """Sparse ±1 rows whose first unit entry in row-major order comes after
+    larger entries, so the least-magnitude search must pass them by."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    size = nrows * ncols
+    flat = draw(
+        st.lists(st.sampled_from((0, 0, 0, 1, -1)), min_size=size, max_size=size)
+    )
+    first_unit = draw(st.integers(1, size - 1))
+    flat[0] = draw(st.sampled_from((2, -2, 3, -3, 4, 6)))
+    for k in range(1, first_unit):
+        flat[k] = draw(st.sampled_from((0, 2, -2, 3, -3, 4, 6)))
+    flat[first_unit] = draw(st.sampled_from((1, -1)))
+    return [flat[r * ncols : (r + 1) * ncols] for r in range(nrows)]
+
+
 @given(
-    st.integers(1, 4).flatmap(
-        lambda m: st.integers(1, 4).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-6, 6), min_size=n, max_size=n),
-                min_size=m,
-                max_size=m,
+    st.one_of(
+        st.integers(1, 4).flatmap(
+            lambda m: st.integers(1, 4).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                    min_size=m,
+                    max_size=m,
+                )
             )
-        )
+        ),
+        late_unit_matrix(),
     )
 )
 def test_smith_normal_form_matches_sympy(m):
@@ -210,6 +235,38 @@ def test_smith_normal_form_matches_sympy(m):
     for a, b in zip(ours, ours[1:]):
         assert b % a == 0, f"divisibility chain broken: {ours}"
     assert len(ours) == linalg.rank([[Fraction(x) for x in row] for row in m])
+
+
+# small ints among the rationals, so that singular matrices come up
+square_matrix = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.one_of(rationals, st.integers(-1, 1).map(Fraction)),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(square_matrix)
+def test_inverse_matches_sympy(m):
+    ours = linalg.inverse(m)
+    reference = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m]
+    )
+    if reference.det() == 0:
+        assert ours is None
+        return
+    ints, den = ours
+    assert den > 0 and math.gcd(den, *(x for row in ints for x in row)) == 1
+    expected = reference.inv()
+    assert [[Fraction(x, den) for x in row] for row in ints] == [
+        [Fraction(int(expected[i, j].p), int(expected[i, j].q)) for j in range(len(m))]
+        for i in range(len(m))
+    ]
 
 
 def test_smith_normal_form_known_torsion_case():
