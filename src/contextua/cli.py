@@ -30,13 +30,12 @@ from .connection import (
     valuation_from_values,
 )
 from .core_model import (
-    effect_equivalences,
+    KINDS,
+    equivalences,
     fragment_from_json,
     fragment_to_json,
     model_from_json,
     model_to_json,
-    state_equivalences,
-    transformation_equivalences,
     validate_fragment,
 )
 from .disturbance import (
@@ -168,17 +167,9 @@ def _parse_params(pairs) -> dict:
 
 # -- shared pieces -----------------------------------------------------------
 
-_KIND_EQUIVALENCES = {
-    "state": state_equivalences,
-    "effect": lambda f: effect_equivalences(f, include_unit=True),
-    "transformation": transformation_equivalences,
-}
-
-
 def _complex_for(args, path: str, view: str):
     f = _load(fragment_from_json, path, "fragment")
-    eqs = _KIND_EQUIVALENCES[args.kind](f)
-    oc = build_object_complex(args.kind, f, eqs, view)
+    oc = build_object_complex(args.kind, f, equivalences(f, args.kind), view)
     if args.values is None:
         raise _InputError(
             f"--values with {oc.object_count} rationals is required "
@@ -233,11 +224,7 @@ def _cmd_equivalences(args):
             for eq in eqs
         ]
 
-    report = {
-        "states": payload(state_equivalences(f)),
-        "effects": payload(effect_equivalences(f, include_unit=True)),
-        "transformations": payload(transformation_equivalences(f)),
-    }
+    report = {f"{kind}s": payload(equivalences(f, kind)) for kind in KINDS}
     return report, False
 
 
@@ -550,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.add_argument(
             "--kind",
-            choices=("state", "effect", "transformation"),
+            choices=KINDS,
             default="state",
         )
         if fixed_view is None:

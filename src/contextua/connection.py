@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 from . import ddg
 from ._rat import format_rational
 from .core_model import GptFragment, OnticRepresentation, OperationalEquivalence
+from .core_model import objects, ontic_values
 
 Edge = tuple[int, int]
 
@@ -90,16 +91,7 @@ def build_object_complex(
     """
     if view not in ("geometrical", "topological"):
         raise ValueError(f"unknown view {view!r}")
-    if kind == "state":
-        object_count = len(f.states)
-    elif kind == "effect":
-        # the unit effect joins as the final object so completeness
-        # dependencies have a vertex to run through
-        object_count = len(f.effects) + 1
-    elif kind == "transformation":
-        object_count = len(f.transformations)
-    else:
-        raise ValueError(f"unknown object kind {kind!r}")
+    object_count = len(objects(f, kind))
     if object_count == 0:
         raise ValueError(f"fragment has no objects of kind {kind!r}")
 
@@ -115,7 +107,7 @@ def build_object_complex(
         if eq.kind != kind:
             raise ValueError(f"equivalence {eq_id} has kind {eq.kind!r}, want {kind!r}")
         participants = eq.participants
-        if participants and participants[-1] >= object_count:
+        if participants[-1] >= object_count:
             raise ValueError(
                 f"equivalence {eq_id} references missing object {participants[-1]}"
             )
@@ -181,12 +173,14 @@ def valuation_from_values(
         raise ValueError(
             f"expected {oc.object_count} object values, got {len(values)}"
         )
+    values = [Fraction(v) for v in values]
     data = {}
     for edge, terms in oc.edge_terms.items():
-        data[edge] = sum(
-            (scale * Fraction(values[obj]) for obj, scale in terms), Fraction(0)
-        )
-    return ddg.Cochain(1, data)
+        total = sum(scale * values[obj] for obj, scale in terms)
+        if total:
+            data[edge] = total
+    # edge_terms keys are ascending vertex pairs
+    return ddg.Cochain._canonical(1, data)
 
 
 def valuation_cochain(
@@ -196,26 +190,9 @@ def valuation_cochain(
     lam_out: int | None = None,
 ) -> ddg.Cochain:
     """Valuation of every object at one ontic value (or value pair)."""
-    if not 0 <= lam < rep.lambda_count:
-        raise ValueError(f"ontic index {lam} out of range")
-    values: list[Fraction] = []
-    if oc.kind == "state":
-        if oc.object_count != len(rep.state_distributions):
-            raise ValueError("representation does not match the complex")
-        values = [rep.state_distributions[s][lam] for s in range(oc.object_count)]
-    elif oc.kind == "effect":
-        if oc.object_count != len(rep.effect_responses) + 1:
-            raise ValueError("representation does not match the complex")
-        values = [row[lam] for row in rep.effect_responses]
-        values.append(Fraction(1))  # the unit responds 1 everywhere
-    else:
-        if rep.transition_kernels is None:
-            raise ValueError("representation has no transition kernels")
-        if lam_out is None:
-            raise ValueError("transformation valuations need lam_out")
-        if not 0 <= lam_out < rep.lambda_count:
-            raise ValueError(f"ontic index {lam_out} out of range")
-        values = [k[lam][lam_out] for k in rep.transition_kernels]
+    values = ontic_values(rep, oc.kind, lam, lam_out)
+    if len(values) != oc.object_count:
+        raise ValueError("representation does not match the complex")
     return valuation_from_values(oc, values)
 
 
@@ -267,9 +244,14 @@ def phase(dec: ConnectionDecomposition, gamma: ddg.Chain) -> Fraction:
         raise ValueError("phases pair with degree-1 chains")
     if not ddg.boundary(dec.complex, gamma).is_zero:
         raise ValueError("phase requires a cycle")
-    total = ddg.pair(dec.connection, gamma)
+    return _cycle_phase(dec, gamma)
+
+
+def _cycle_phase(dec: ConnectionDecomposition, cycle: ddg.Chain) -> Fraction:
+    """:func:`phase` without its checks, for a known cycle."""
+    total = ddg.pair(dec.connection, cycle)
     if dec.disturbance is not None:
-        total += ddg.pair(dec.disturbance, gamma)
+        total += ddg.pair(dec.disturbance, cycle)
     return total
 
 
@@ -291,7 +273,8 @@ def holonomy(
 def loop_phases(
     oc: ObjectComplex, dec: ConnectionDecomposition
 ) -> dict[int, Fraction]:
-    return {eq_id: phase(dec, loop) for eq_id, loop in oc.loops}
+    # build_object_complex has checked that every loop is a cycle
+    return {eq_id: _cycle_phase(dec, loop) for eq_id, loop in oc.loops}
 
 
 def monodromy_class(oc: ObjectComplex, dec: ConnectionDecomposition) -> str:

@@ -149,6 +149,22 @@ def probability(
     return dot(f.effects[effect], vector)
 
 
+KINDS = ("state", "effect", "transformation")
+
+
+def objects(f: GptFragment, kind: str) -> list[Vec]:
+    """One kind's objects as vectors: the effects end with the unit effect,
+    at index ``len(f.effects)``, so completeness dependencies have an object
+    to run through; each transformation is flattened row by row."""
+    if kind == "state":
+        return list(f.states)
+    if kind == "effect":
+        return [*f.effects, f.unit_effect]
+    if kind == "transformation":
+        return [tuple(x for row in m for x in row) for m in f.transformations]
+    raise ValueError(f"unknown object kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class OperationalEquivalence:
     """An exact linear dependence among same-kind objects.
@@ -157,15 +173,17 @@ class OperationalEquivalence:
     property is that the coefficient-weighted vectors sum to zero exactly.
     """
 
-    kind: str  # "state" | "effect" | "transformation"
+    kind: str  # one of KINDS
     coefficients: Mapping[int, Fraction]
 
     def __post_init__(self):
-        if self.kind not in ("state", "effect", "transformation"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown equivalence kind {self.kind!r}")
         coeffs = {int(i): Fraction(c) for i, c in self.coefficients.items()}
         if any(c == 0 for c in coeffs.values()):
             raise ValueError("equivalence coefficients must be nonzero")
+        if any(i < 0 for i in coeffs):
+            raise ValueError("equivalence object indices must be nonnegative")
         if not coeffs:
             raise ValueError("an equivalence needs at least one participant")
         # a singleton dependency just says one vector is zero; it is allowed
@@ -208,8 +226,14 @@ def find_equivalences(
     return out
 
 
+def equivalences(f: GptFragment, kind: str) -> list[OperationalEquivalence]:
+    """Dependencies among :func:`objects` of one kind."""
+    vectors = objects(f, kind)
+    return find_equivalences(vectors, kind) if vectors else []
+
+
 def state_equivalences(f: GptFragment) -> list[OperationalEquivalence]:
-    return find_equivalences(f.states, "state") if f.states else []
+    return equivalences(f, "state")
 
 
 def effect_equivalences(
@@ -220,15 +244,13 @@ def effect_equivalences(
     With ``include_unit`` the unit effect joins the list as a final extra
     column, so coefficients on index ``len(f.effects)`` refer to it.
     """
-    vectors = list(f.effects)
     if include_unit:
-        vectors.append(f.unit_effect)
-    return find_equivalences(vectors, "effect") if vectors else []
+        return equivalences(f, "effect")
+    return find_equivalences(f.effects, "effect") if f.effects else []
 
 
 def transformation_equivalences(f: GptFragment) -> list[OperationalEquivalence]:
-    flat = [tuple(x for row in m for x in row) for m in f.transformations]
-    return find_equivalences(flat, "transformation") if flat else []
+    return equivalences(f, "transformation")
 
 
 @dataclass(frozen=True)
@@ -257,6 +279,29 @@ class OnticRepresentation:
                 "transition_kernels",
                 tuple(_mat(k) for k in self.transition_kernels),
             )
+
+
+def ontic_values(
+    rep: OnticRepresentation, kind: str, lam: int, lam_out: int | None = None
+) -> list[Fraction]:
+    """Each object's value at ontic index ``lam``, in :func:`objects` order:
+    the unit effect responds 1, and a transformation gives its probability
+    of moving ``lam`` to ``lam_out``."""
+    if not 0 <= lam < rep.lambda_count:
+        raise ValueError(f"ontic index {lam} out of range")
+    if kind == "state":
+        return [row[lam] for row in rep.state_distributions]
+    if kind == "effect":
+        return [*(row[lam] for row in rep.effect_responses), Fraction(1)]
+    if kind == "transformation":
+        if rep.transition_kernels is None:
+            raise ValueError("representation has no transition kernels")
+        if lam_out is None:
+            raise ValueError("transformation valuations need lam_out")
+        if not 0 <= lam_out < rep.lambda_count:
+            raise ValueError(f"ontic index {lam_out} out of range")
+        return [kernel[lam][lam_out] for kernel in rep.transition_kernels]
+    raise ValueError(f"unknown object kind {kind!r}")
 
 
 def _check_tables(f: GptFragment, rep: OnticRepresentation) -> None:
@@ -332,65 +377,41 @@ def verify_ontic(
     rep: OnticRepresentation,
     eqs: Sequence[OperationalEquivalence],
 ) -> NcReport:
-    """Reproduction error, equivalence residuals, and valuation linearity."""
+    """Reproduction error, equivalence residuals, and valuation linearity.
+
+    Equivalences index :func:`objects`, so an effect equivalence may name the
+    unit effect (``effect_equivalences(f, include_unit=True)``), whose
+    response is 1 at every ontic value: its residuals check normalisation.
+    """
     _check_tables(f, rep)
     n = rep.lambda_count
 
     worst = Fraction(0)
-    for s in range(len(f.states)):
-        for r in range(len(f.effects)):
-            modelled = sum(
-                (
-                    rep.effect_responses[r][k] * rep.state_distributions[s][k]
-                    for k in range(n)
-                ),
-                Fraction(0),
-            )
-            worst = max(worst, abs(probability(f, s, r) - modelled))
-            if rep.transition_kernels is not None:
-                for t, kernel in enumerate(rep.transition_kernels):
-                    moved = sum(
-                        (
-                            rep.effect_responses[r][k2]
-                            * kernel[k][k2]
-                            * rep.state_distributions[s][k]
-                            for k in range(n)
-                            for k2 in range(n)
-                        ),
-                        Fraction(0),
-                    )
-                    worst = max(worst, abs(probability(f, s, r, t) - moved))
+    for s, dist in enumerate(rep.state_distributions):
+        # the ontic distribution after each transformation
+        moved = [
+            tuple(dot(dist, column) for column in zip(*kernel))
+            for kernel in rep.transition_kernels or ()
+        ]
+        for r, response in enumerate(rep.effect_responses):
+            worst = max(worst, abs(probability(f, s, r) - dot(response, dist)))
+            for t, after in enumerate(moved):
+                worst = max(worst, abs(probability(f, s, r, t) - dot(response, after)))
 
+    counts = {kind: len(objects(f, kind)) for kind in KINDS}
     residuals: dict[tuple, Fraction] = {}
     for e, eq in enumerate(eqs):
-        if eq.kind == "state":
-            table = rep.state_distributions
-        elif eq.kind == "effect":
-            table = rep.effect_responses
-        else:
-            if rep.transition_kernels is None:
-                raise ValueError(
-                    "transformation equivalence supplied but representation has no kernels"
-                )
-            for k in range(n):
-                for k2 in range(n):
-                    value = sum(
-                        (
-                            c * rep.transition_kernels[t][k][k2]
-                            for t, c in eq.coefficients.items()
-                        ),
-                        Fraction(0),
-                    )
-                    residuals[(e, k, k2)] = value
-            continue
-        for i in eq.participants:
-            if not 0 <= i < len(table):
-                raise ValueError(f"equivalence {e} references missing object {i}")
-        for k in range(n):
-            value = sum(
-                (c * table[i][k] for i, c in eq.coefficients.items()), Fraction(0)
+        if eq.participants[-1] >= counts[eq.kind]:
+            raise ValueError(
+                f"equivalence {e} references missing object {eq.participants[-1]}"
             )
-            residuals[(e, k)] = value
+        # a transformation's values are indexed by ontic value pairs
+        arity = 2 if eq.kind == "transformation" else 1
+        for key in product(range(n), repeat=arity):
+            values = ontic_values(rep, eq.kind, *key)
+            residuals[(e, *key)] = sum(
+                (c * values[i] for i, c in eq.coefficients.items()), Fraction(0)
+            )
 
     linearity: dict[tuple, Fraction] = {}
     for a, b, c in additive_effect_triples(f):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
 
@@ -24,12 +25,16 @@ from contextua.connection import (
     valuation_from_values,
 )
 from contextua.core_model import (
+    KINDS,
     GptFragment,
     OnticRepresentation,
     OperationalEquivalence,
     effect_equivalences,
+    equivalences,
+    objects,
+    verify_ontic,
 )
-from contextua.scenarios import random_complex
+from contextua.scenarios import random_complex, random_fragment, random_ontic_table
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -475,3 +480,25 @@ def test_one_gauge_the_first_vertex_of_each_component():
         assert dec.recomposed() == edges
         for component in k.components():
             assert dec.potential[(component[0],)] == 0
+
+
+@pytest.mark.parametrize("contextual", [False, True])
+def test_verify_ontic_residuals_are_the_loop_phases(contextual):
+    # pairing a valuation with a dependence loop gives the weighted sum of
+    # the loop's object values, and the exact part pairs to 0 with a cycle
+    for k in range(60):
+        f = random_fragment(Random(k), with_transformations=True)
+        if k % 2:
+            # random transformations are independent; a repeat depends
+            f = replace(f, transformations=f.transformations * 2)
+        rep = random_ontic_table(f, Random(k), contextual)
+        for kind in KINDS:
+            if not objects(f, kind):
+                continue
+            eqs = equivalences(f, kind)
+            residuals = verify_ontic(f, rep, eqs).equivalence_residuals
+            oc = build_object_complex(kind, f, eqs, "topological")
+            for key in {key[1:] for key in residuals}:
+                dec = decompose(oc, valuation_cochain(oc, rep, *key))
+                for e, value in loop_phases(oc, dec).items():
+                    assert residuals[(e, *key)] == value, (k, kind, key, e)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from contextua._rat import parse_rational
 from contextua.core_model import (
+    KINDS,
     EmpiricalModel,
     GptFragment,
     NcReport,
@@ -19,17 +20,22 @@ from contextua.core_model import (
     apply_matrix,
     dot,
     effect_equivalences,
+    equivalences,
     find_equivalences,
     fragment_from_json,
     fragment_to_json,
     model_from_json,
     model_to_json,
+    objects,
+    ontic_values,
     probability,
     restriction,
     state_equivalences,
+    transformation_equivalences,
     validate_fragment,
     verify_ontic,
 )
+from contextua.scenarios import classical_simplex, random_fragment
 from contextua.vorobyev import CompatibilityHypergraph
 
 rationals = st.fractions(
@@ -233,6 +239,49 @@ def test_equivalence_constructor_rejects_degenerate_input():
     assert single.participants == (2,)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_equivalence_constructor_refuses_negative_indices(kind):
+    # -1 must not stand for the last object of a table
+    with pytest.raises(ValueError, match="nonnegative"):
+        OperationalEquivalence(kind, {-1: F(1), 0: F(-1)})
+
+
+def test_object_table_puts_the_unit_effect_last():
+    f = random_fragment(Random(4), with_transformations=True)
+    assert objects(f, "state") == list(f.states)
+    assert objects(f, "effect") == [*f.effects, f.unit_effect]
+    assert objects(f, "transformation") == [
+        tuple(x for row in t for x in row) for t in f.transformations
+    ]
+    with pytest.raises(ValueError, match="unknown object kind"):
+        objects(f, "measurement")
+    assert equivalences(f, "state") == state_equivalences(f)
+    assert equivalences(f, "effect") == effect_equivalences(f, include_unit=True)
+    assert equivalences(f, "transformation") == transformation_equivalences(f)
+    # every measurement sums to the unit, so some dependence runs through it
+    unit = len(f.effects)
+    assert any(unit in eq.participants for eq in equivalences(f, "effect"))
+    assert all(unit not in eq.participants for eq in effect_equivalences(f))
+
+
+def test_ontic_values_follow_the_object_table():
+    flip = ((F(0), F(1)), (F(1), F(0)))
+    rep = OnticRepresentation(
+        lambda_count=2,
+        state_distributions=((F(1, 3), F(2, 3)),),
+        effect_responses=((F(1, 4), F(1)),),
+        transition_kernels=(flip,),
+    )
+    assert ontic_values(rep, "state", 1) == [F(2, 3)]
+    assert ontic_values(rep, "effect", 0) == [F(1, 4), F(1)]
+    assert ontic_values(rep, "transformation", 0, 1) == [F(1)]
+    for bad in (("state", 2), ("transformation", 0), ("transformation", 0, 2)):
+        with pytest.raises(ValueError):
+            ontic_values(rep, *bad)
+    with pytest.raises(ValueError, match="unknown object kind"):
+        ontic_values(rep, "measurement", 0)
+
+
 def identity_representation(f):
     """Ontic values = simplex cells; tables are the fragment's own vectors."""
     kernels = None
@@ -303,6 +352,56 @@ def test_verify_ontic_rejects_bad_shapes():
     )
     with pytest.raises(ValueError):
         verify_ontic(f, rep, [])
+
+
+def test_verify_ontic_accepts_the_unit_effect_and_checks_normalisation():
+    f = classical_simplex(2)
+    eqs = effect_equivalences(f, include_unit=True)
+    exact = OnticRepresentation(
+        lambda_count=2,
+        state_distributions=f.states,
+        effect_responses=f.effects,
+    )
+    assert verify_ontic(f, exact, eqs).is_noncontextual
+    # at an ontic value no preparation reaches, both outcomes of the one
+    # complete measurement respond 1: nothing is reproduced wrongly, but the
+    # responses there sum to 2, not to the unit's 1
+    unreached = OnticRepresentation(
+        lambda_count=3,
+        state_distributions=((F(1), F(0), F(0)), (F(0), F(1), F(0))),
+        effect_responses=((F(1), F(0), F(1)), (F(0), F(1), F(1))),
+    )
+    assert verify_ontic(f, unreached, effect_equivalences(f)).is_noncontextual
+    report = verify_ontic(f, unreached, eqs)
+    assert report.reproduction_error == 0
+    assert report.flagged == [(0, 2)]
+    assert report.equivalence_residuals[(0, 2)] == 1
+    assert not report.is_noncontextual
+
+
+def test_verify_ontic_index_errors_are_value_errors_for_every_kind():
+    flip = ((F(0), F(1)), (F(1), F(0)))
+    f = GptFragment(
+        dimension=2,
+        states=((F(1), F(0)),),
+        effects=((F(1), F(1)),),
+        unit_effect=(F(1), F(1)),
+        measurements=((0,),),
+        transformations=(flip, flip),
+    )
+    rep = OnticRepresentation(
+        lambda_count=2,
+        state_distributions=((F(1), F(0)),),
+        effect_responses=((F(1), F(1)),),
+        transition_kernels=(flip, flip),
+    )
+    # the unit effect is object 1 of kind "effect"; object 2 is missing
+    for kind, index in (("state", 1), ("effect", 2), ("transformation", 2)):
+        eq = OperationalEquivalence(kind, {0: F(1), index: F(-1)})
+        with pytest.raises(ValueError, match=f"missing object {index}"):
+            verify_ontic(f, rep, [eq])
+    unit = OperationalEquivalence("effect", {0: F(1), 1: F(-1)})
+    assert verify_ontic(f, rep, [unit]).is_noncontextual
 
 
 def test_additive_triples_found():
