@@ -31,6 +31,7 @@ from .connection import (
 )
 from .core_model import (
     KINDS,
+    _list_in,
     equivalences,
     fragment_from_json,
     fragment_to_json,
@@ -97,8 +98,11 @@ def _parse_hypergraph(text: str) -> CompatibilityHypergraph:
     if isinstance(doc, dict) and "hypergraph" in doc:
         return model_from_json(text).hypergraph
     return CompatibilityHypergraph(
-        tuple(doc["measurements"]),
-        tuple(tuple(c) for c in doc["contexts"]),
+        tuple(_list_in(doc["measurements"], "measurements")),
+        tuple(
+            tuple(_list_in(c, f"contexts[{i}]"))
+            for i, c in enumerate(_list_in(doc["contexts"], "contexts"))
+        ),
     )
 
 
@@ -286,10 +290,8 @@ def _cmd_phases(args):
             str(eq_id): format_rational(value) for eq_id, value in phases.items()
         },
         "all_zero": all(value == 0 for value in phases.values()),
+        "monodromy": monodromy_class(oc, dec),
     }
-    flatness = ddg.coboundary(oc.complex, dec.connection)
-    if flatness.is_zero:
-        report["monodromy"] = monodromy_class(oc, dec)
     return report, not report["all_zero"]
 
 

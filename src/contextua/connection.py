@@ -65,11 +65,15 @@ class ConnectionDecomposition:
     disturbance: ddg.Cochain | None
     view: str
 
+    @property
+    def residual(self) -> ddg.Cochain:
+        """xi - d(potential): the connection, plus the disturbance if any."""
+        if self.disturbance is None:
+            return self.connection
+        return self.connection + self.disturbance
+
     def recomposed(self) -> ddg.Cochain:
-        total = ddg.coboundary(self.complex, self.potential) + self.connection
-        if self.disturbance is not None:
-            total = total + self.disturbance
-        return total
+        return ddg.coboundary(self.complex, self.potential) + self.residual
 
 
 @dataclass(frozen=True)
@@ -173,10 +177,13 @@ def valuation_from_values(
         raise ValueError(
             f"expected {oc.object_count} object values, got {len(values)}"
         )
-    values = [Fraction(v) for v in values]
+    values = [v if type(v) is Fraction else Fraction(v) for v in values]
     data = {}
     for edge, terms in oc.edge_terms.items():
-        total = sum(scale * values[obj] for obj, scale in terms)
+        (obj, scale), *rest = terms
+        total = values[obj] if scale == 1 else scale * values[obj]
+        for obj, scale in rest:
+            total += scale * values[obj]
         if total:
             data[edge] = total
     # edge_terms keys are ascending vertex pairs
@@ -200,6 +207,7 @@ def decompose_cochain(
     complex_: ddg.SimplicialComplex,
     xi: ddg.Cochain,
     view: str = "geometrical",
+    charts: Mapping[int, object] | None = None,
 ) -> ConnectionDecomposition:
     """Least-squares split xi = d(potential) + connection, exact over rationals.
 
@@ -207,16 +215,36 @@ def decompose_cochain(
     squared residual and is pinned to 0 at the first vertex of each
     connected component, which fixes the gauge without changing the
     connection part.
+
+    With a ``charts`` map (vertex -> chart label, covering every endpoint of
+    an edge), the edges crossing between charts are left out of the fit and
+    their residual is the disturbance cochain; every other residual value
+    stays in the connection, so the recomposition is exact either way.
     """
     if xi.degree != 1:
         raise ValueError(f"valuations have degree 1, got {xi.degree}")
-    potential = ddg.potential(complex_, xi)
+    edges = kept = complex_.simplices(1)
+    if charts is not None:
+        for edge in edges:
+            for v in edge:
+                if v not in charts:
+                    raise ValueError(f"chart map missing vertex {v}")
+        crossing = {(a, b) for a, b in edges if charts[a] != charts[b]}
+        kept = [e for e in edges if e not in crossing]
+    potential = ddg.potential(complex_, xi, kept)
+    residual = xi - ddg.coboundary(complex_, potential)
+    if charts is None:
+        return ConnectionDecomposition(complex_, potential, residual, None, view)
+    inside: dict[Edge, Fraction] = {}
+    across: dict[Edge, Fraction] = {}
+    for edge, value in residual._data.items():
+        (across if edge in crossing else inside)[edge] = value
     return ConnectionDecomposition(
-        complex=complex_,
-        potential=potential,
-        connection=xi - ddg.coboundary(complex_, potential),
-        disturbance=None,
-        view=view,
+        complex_,
+        potential,
+        ddg.Cochain._canonical(1, inside),
+        ddg.Cochain._canonical(1, across),
+        view,
     )
 
 
@@ -244,15 +272,7 @@ def phase(dec: ConnectionDecomposition, gamma: ddg.Chain) -> Fraction:
         raise ValueError("phases pair with degree-1 chains")
     if not ddg.boundary(dec.complex, gamma).is_zero:
         raise ValueError("phase requires a cycle")
-    return _cycle_phase(dec, gamma)
-
-
-def _cycle_phase(dec: ConnectionDecomposition, cycle: ddg.Chain) -> Fraction:
-    """:func:`phase` without its checks, for a known cycle."""
-    total = ddg.pair(dec.connection, cycle)
-    if dec.disturbance is not None:
-        total += ddg.pair(dec.disturbance, cycle)
-    return total
+    return ddg.pair(dec.residual, gamma)
 
 
 def holonomy(
@@ -274,7 +294,8 @@ def loop_phases(
     oc: ObjectComplex, dec: ConnectionDecomposition
 ) -> dict[int, Fraction]:
     # build_object_complex has checked that every loop is a cycle
-    return {eq_id: _cycle_phase(dec, loop) for eq_id, loop in oc.loops}
+    residual = dec.residual
+    return {eq_id: ddg.pair(residual, loop) for eq_id, loop in oc.loops}
 
 
 def monodromy_class(oc: ObjectComplex, dec: ConnectionDecomposition) -> str:
@@ -284,10 +305,7 @@ def monodromy_class(oc: ObjectComplex, dec: ConnectionDecomposition) -> str:
     flatness = ddg.coboundary(dec.complex, dec.connection)
     if not flatness.is_zero:
         raise ValueError("connection has nonzero curvature; class undefined")
-    total = dec.connection
-    if dec.disturbance is not None:
-        total = total + dec.disturbance
-    result = ddg.is_exact(oc.complex, total)
+    result = ddg.is_exact(oc.complex, dec.residual)
     return "trivial" if result.status == "exact" else "nontrivial"
 
 

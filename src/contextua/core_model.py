@@ -598,8 +598,12 @@ def fragment_to_json(f: GptFragment) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _rational_in(x) -> Fraction:
-    return parse_rational(x) if isinstance(x, str) else Fraction(x)
+def _rational_in(x, what: str) -> Fraction:
+    if isinstance(x, str):
+        return parse_rational(x)
+    if type(x) is bool:  # JSON true/false are not numbers
+        raise ValueError(f"{what} holds {json.dumps(x)}, not a rational")
+    return Fraction(x)
 
 
 def _int_in(x, what: str) -> int:
@@ -608,19 +612,45 @@ def _int_in(x, what: str) -> int:
     return x
 
 
+def _list_in(x, what: str) -> list:
+    if type(x) is not list:  # JSON lists only: a string is not its characters
+        raise ValueError(f"{what} is not a JSON list")
+    return x
+
+
+def _rationals_in(x, what: str) -> Vec:
+    return tuple(_rational_in(v, what) for v in _list_in(x, what))
+
+
 def fragment_from_json(text: str) -> GptFragment:
     payload = json.loads(text)
+
+    def rows(field: str) -> tuple[Vec, ...]:
+        return tuple(
+            _rationals_in(v, f"{field}[{i}]")
+            for i, v in enumerate(_list_in(payload[field], field))
+        )
+
     return GptFragment(
         dimension=_int_in(payload["dimension"], "dimension"),
-        states=tuple(tuple(map(_rational_in, v)) for v in payload["states"]),
-        effects=tuple(tuple(map(_rational_in, v)) for v in payload["effects"]),
-        unit_effect=tuple(map(_rational_in, payload["unit_effect"])),
+        states=rows("states"),
+        effects=rows("effects"),
+        unit_effect=_rationals_in(payload["unit_effect"], "unit_effect"),
         measurements=tuple(
-            tuple(_int_in(r, "effect index") for r in m) for m in payload["measurements"]
+            tuple(
+                _int_in(r, "effect index")
+                for r in _list_in(m, f"measurements[{i}]")
+            )
+            for i, m in enumerate(_list_in(payload["measurements"], "measurements"))
         ),
         transformations=tuple(
-            tuple(tuple(map(_rational_in, row)) for row in t)
-            for t in payload.get("transformations", [])
+            tuple(
+                _rationals_in(row, f"transformations[{t}][{r}]")
+                for r, row in enumerate(_list_in(m, f"transformations[{t}]"))
+            )
+            for t, m in enumerate(
+                _list_in(payload.get("transformations", []), "transformations")
+            )
         ),
     )
 
@@ -638,10 +668,13 @@ def model_to_json(m: EmpiricalModel) -> str:
 
 def model_from_json(text: str) -> EmpiricalModel:
     payload = json.loads(text)
-    contexts = tuple(tuple(c) for c in payload["hypergraph"])
+    contexts = tuple(
+        tuple(_list_in(c, f"hypergraph[{i}]"))
+        for i, c in enumerate(_list_in(payload["hypergraph"], "hypergraph"))
+    )
     measurements = tuple(sorted({m for c in contexts for m in c}))
     tables = tuple(
-        tuple(map(_rational_in, payload["tables"][str(i)]))
+        _rationals_in(payload["tables"][str(i)], f'tables["{i}"]')
         for i in range(len(contexts))
     )
     return EmpiricalModel(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import ddg
-from .connection import ConnectionDecomposition, ObjectComplex
+from .connection import ConnectionDecomposition, ObjectComplex, decompose_cochain
 from .core_model import (
     EmpiricalModel,
     context_overlaps,
@@ -88,33 +88,11 @@ def decompose_with_eta(
 ) -> ConnectionDecomposition:
     """Split xi into d(potential) + connection + disturbance.
 
-    The potential is the least-squares fit over within-chart edges only;
-    edges crossing a chart boundary contribute nothing to it and absorb
-    their full residual into the disturbance cochain, so the connection
-    lives strictly inside charts and the recomposition is exact.
+    :func:`connection.decompose_cochain` under a chart map: edges crossing a
+    chart boundary stay out of the potential fit and carry their residual
+    as the disturbance, so the connection lives inside charts.
     """
-    if xi.degree != 1:
-        raise ValueError(f"valuations have degree 1, got {xi.degree}")
-    complex_ = oc.complex
-    edges = complex_.simplices(1)
-    for edge in edges:
-        for v in edge:
-            if v not in charts:
-                raise ValueError(f"chart map missing vertex {v}")
-    kept = [e for e in edges if charts[e[0]] == charts[e[1]]]
-
-    potential = ddg.potential(complex_, xi, kept)
-    residual = xi - ddg.coboundary(complex_, potential)
-    kept_set = set(kept)
-    omega = ddg.Cochain(1, {e: residual[e] for e in kept_set})
-    eta = ddg.Cochain(1, {e: residual[e] for e in edges if e not in kept_set})
-    return ConnectionDecomposition(
-        complex=complex_,
-        potential=potential,
-        connection=omega,
-        disturbance=eta,
-        view=oc.view,
-    )
+    return decompose_cochain(oc.complex, xi, oc.view, charts)
 
 
 def fractions_with_disturbance(

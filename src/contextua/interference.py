@@ -5,6 +5,7 @@ decompositions."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._rat import format_rational, parse_rational
 from .connection import ConnectionDecomposition, ObjectComplex
+from .core_model import _list_in
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
     import numpy as np
@@ -35,10 +37,13 @@ class EventMeasure:
         table = {frozenset(k): v for k, v in self.masses.items()}
         object.__setattr__(self, "masses", table)
         known = set(self.atoms)
-        for event in table:
+        for event, value in table.items():
             stray = set(event) - known
             if stray:
                 raise ValueError(f"event uses unlisted atoms {sorted(stray)}")
+            if isinstance(value, float) and not math.isfinite(value):
+                key = _event_key(event)
+                raise ValueError(f"mass of {key!r} is {value}, not finite")
         empty = table.get(frozenset())
         if empty is not None and empty != 0:
             raise ValueError(f"empty event must have mass 0, got {empty}")
@@ -257,4 +262,4 @@ def measure_from_json(text: str) -> EventMeasure:
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError(f"mass of {key!r} must be a number or a rational string")
         masses[_parse_event_key(key)] = value
-    return EventMeasure(tuple(payload["atoms"]), masses)
+    return EventMeasure(tuple(_list_in(payload["atoms"], "atoms")), masses)

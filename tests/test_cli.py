@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -550,6 +551,79 @@ def test_input_error_exit_codes(capsys, tmp_path):
         code, _, err = run(capsys, "decompose", gbit, "--values", values)
         assert code == 2 and "bad --values entry" in err
         assert len(err.splitlines()) == 1
+
+
+CLASSICAL_BIT = {
+    "dimension": 2,
+    "states": [["1", "0"], [0, 1]],
+    "effects": [[1, 0], [0, 1]],
+    "unit_effect": [1, 1],
+    "measurements": [[0, 1]],
+}
+SPLIT_MODEL = {
+    "hypergraph": [["a", "b"]],
+    "outcomes": {"a": 2, "b": 2},
+    "tables": {"0": ["1/4", "1/4", "1/4", "1/4"]},
+}
+TWO_ATOMS = {"atoms": ["a", "b"], "masses": {"a": "1/2", "b": 0.5, "a|b": 1}}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("nc-check", CLASSICAL_BIT),
+        ("fraction", SPLIT_MODEL),
+        ("vorobyev", SPLIT_MODEL),
+        ("vorobyev", {"measurements": ["a", "b"], "contexts": [["a", "b"]]}),
+        ("interference", TWO_ATOMS),
+    ],
+)
+def test_rational_text_and_json_lists_load(capsys, tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize(
+    "command, doc, complaint",
+    [
+        # JSON booleans are not numbers
+        ("nc-check", dict(CLASSICAL_BIT, states=[[True, False], [0, 1]]),
+         "states[0] holds true, not a rational"),
+        ("fraction", dict(SPLIT_MODEL, tables={"0": [True, False, False, False]}),
+         'tables["0"] holds true, not a rational'),
+        # masses are finite
+        ("interference", dict(TWO_ATOMS, masses={"a": math.nan, "b": 0.5, "a|b": 1}),
+         "mass of 'a' is nan, not finite"),
+        ("interference", dict(TWO_ATOMS, masses={"a": 0.5, "b": math.inf, "a|b": 1}),
+         "mass of 'b' is inf, not finite"),
+        # a string where a list belongs is not read character by character
+        ("nc-check", dict(CLASSICAL_BIT, states=["10", "01"]),
+         "states[0] is not a JSON list"),
+        ("nc-check", dict(CLASSICAL_BIT, unit_effect="11"),
+         "unit_effect is not a JSON list"),
+        ("fraction", dict(SPLIT_MODEL, hypergraph=["ab"]),
+         "hypergraph[0] is not a JSON list"),
+        ("vorobyev", {"measurements": "ab", "contexts": [["a", "b"]]},
+         "measurements is not a JSON list"),
+        ("interference", dict(TWO_ATOMS, atoms="ab"), "atoms is not a JSON list"),
+    ],
+)
+def test_malformed_entries_exit_2_naming_the_field(
+    capsys, tmp_path, command, doc, complaint
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and not out and len(err.splitlines()) == 1
+    assert err.endswith(f"{complaint}\n")
+
+
+def test_a_nan_phase_emits_no_two_slit_measure(capsys):
+    code, out, err = run(capsys, "scenarios", "emit", "two-slit", "--param", "phase=nan")
+    assert code == 2 and not out and len(err.splitlines()) == 1
+    assert "two-slit" in err and "not finite" in err
 
 
 def test_classical_simplex_takes_a_whole_n_only(capsys):

@@ -11,6 +11,7 @@ from contextua import ddg
 from contextua.connection import (
     build_object_complex,
     decompose,
+    decompose_cochain,
     phase,
     valuation_from_values,
 )
@@ -35,6 +36,7 @@ from contextua.scenarios import (
     pr_box,
     product_model,
     random_acyclic_hypergraph,
+    random_complex,
     random_fragment,
     random_nondisturbing_model,
 )
@@ -234,6 +236,43 @@ def test_chart_map_must_cover_all_vertices(halving_complex):
     xi = ddg.Cochain(1, {})
     with pytest.raises(ValueError, match="missing vertex"):
         decompose_with_eta(oc, xi, {0: 0})
+
+
+def test_chart_split_is_the_fit_without_the_crossing_edges():
+    # random complexes carry 2-cells and isolated vertices, which object
+    # complexes never have
+    for k in range(120):
+        cx = random_complex(Random(k))
+        rng = Random(2000 + k)
+        edges = cx.simplices(1)
+        xi = ddg.Cochain(
+            1, {e: F(rng.randrange(-6, 7), rng.randrange(1, 4)) for e in edges}
+        )
+        charts = {v: rng.randrange(3) for v in cx.vertices}
+        crossing = {e for e in edges if charts[e[0]] != charts[e[1]]}
+        dec = decompose_cochain(cx, xi, charts=charts)
+        assert dec.recomposed() == xi
+        assert not crossing & set(dec.connection.values)
+        assert set(dec.disturbance.values) <= crossing
+        kept = [e for e in edges if e not in crossing]
+        assert dec.potential == ddg.potential(cx, xi, kept)
+
+        one = decompose_cochain(cx, xi, charts={v: "one" for v in cx.vertices})
+        plain = decompose_cochain(cx, xi)
+        assert plain.disturbance is None and one.disturbance.is_zero
+        assert (one.potential, one.connection) == (plain.potential, plain.connection)
+        assert one.residual == plain.residual == xi - ddg.coboundary(cx, plain.potential)
+
+
+def test_a_value_off_the_complex_stays_in_the_connection(halving_complex):
+    oc = halving_complex
+    off = (1, max(oc.complex.vertices) + 1)
+    xi = valuation_from_values(oc, [F(3), F(1, 2), F(-2), F(7, 3), F(1)])
+    xi = xi + ddg.Cochain(1, {off: F(5)})
+    charts = {v: v % 2 for v in oc.complex.vertices}
+    dec = decompose_with_eta(oc, xi, charts)
+    assert dec.recomposed() == xi == decompose(oc, xi).recomposed()
+    assert dec.connection[off] == 5 and dec.disturbance[off] == 0
 
 
 # -- three-part fractions ----------------------------------------------------
