@@ -1,12 +1,16 @@
 """Exact rational helpers shared across the package.
 
 Every rational in the package is a :class:`fractions.Fraction`.  These
-helpers sit at the boundary: parsing and printing rational text, and snapping
-floats from numeric scenario generation to bounded-denominator rationals.
+helpers sit at the boundary: parsing and printing rational text, reading
+the numbers and lists of a JSON input file, quoting a refused value, and
+snapping floats from numeric scenario generation to bounded-denominator
+rationals.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import re
 from fractions import Fraction
 
@@ -25,13 +29,20 @@ MAX_DECIMAL_EXPONENT = MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)$")
 
 
+def excerpt(text: str) -> str:
+    """``text`` cut to at most 41 characters for an error message: its first
+    30 and last 8 around ``...`` when it is longer than 40."""
+    return text if len(text) <= 40 else f"{text[:30]}...{text[-8:]}"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, ``"p"`` or a decimal literal into an exact Fraction.
 
     Raises ValueError on a malformed literal, a zero denominator, a decimal
     exponent whose magnitude exceeds :data:`MAX_DECIMAL_EXPONENT`, and a value
     whose numerator or denominator has more than :data:`MAX_DIGITS` digits,
-    which the error quotes.
+    which the error quotes.  An error quotes the literal through
+    :func:`excerpt`.
     """
     text = str(text).strip()
     exponent = _EXPONENT.search(text)
@@ -39,14 +50,16 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(
             f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT} in a rational literal"
         )
-    shown = text if len(text) <= 40 else f"{text[:30]}...{text[-8:]}"
+    shown = excerpt(text)
     try:
         value = Fraction(text)
     except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in a rational literal: {exc}") from exc
+        raise ValueError(
+            f"zero denominator in a rational literal: {excerpt(str(exc))}"
+        ) from exc
     except ValueError as exc:
         if len(text) <= MAX_DIGITS:
-            raise
+            raise ValueError(f"Invalid literal for Fraction: {shown!r}") from exc
         # CPython refuses a digit string longer than its int-string limit
         raise ValueError(
             f"rational literal {shown!r} is longer than {MAX_DIGITS} characters"
@@ -56,6 +69,29 @@ def parse_rational(text: str) -> Fraction:
             f"rational literal {shown!r} has more than {MAX_DIGITS} digits"
         )
     return value
+
+
+def rational_in(x, what: str) -> Fraction:
+    """A JSON value read as an exact rational by :func:`parse_rational`:
+    rational text, an integer, or a finite float as the shortest decimal that
+    names it (``0.1`` is 1/10).  Anything else is refused naming ``what``."""
+    if type(x) is int or (type(x) is float and math.isfinite(x)):
+        x = repr(x)
+    elif type(x) is not str:
+        raise ValueError(f"{what} holds {excerpt(json.dumps(x))}, not a rational")
+    return parse_rational(x)
+
+
+def int_in(x, what: str) -> int:
+    if type(x) is not int:  # JSON integers only: no bool, float or string
+        raise ValueError(f"{what} {excerpt(repr(x))} is not an integer")
+    return x
+
+
+def list_in(x, what: str) -> list:
+    if type(x) is not list:  # JSON lists only: a string is not its characters
+        raise ValueError(f"{what} is not a JSON list")
+    return x
 
 
 def format_rational(value: Fraction) -> str:

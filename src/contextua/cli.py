@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from multiprocessing import Pool
 from random import Random
 
 from . import ddg
-from ._rat import format_rational, parse_rational
+from ._rat import excerpt, format_rational, list_in, parse_rational
 from .connection import (
     build_object_complex,
     curvature,
@@ -31,7 +32,6 @@ from .connection import (
 )
 from .core_model import (
     KINDS,
-    _list_in,
     equivalences,
     fragment_from_json,
     fragment_to_json,
@@ -87,7 +87,6 @@ def _load(parser_fn, path: str, what: str):
     except json.JSONDecodeError as exc:
         raise _InputError(f"malformed JSON in {path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        # OverflowError: a JSON number such as 1e400 loads as a float inf;
         # AttributeError: a JSON value of the wrong type, such as null masses
         raise _InputError(f"bad {what} file {path}: {exc}") from exc
 
@@ -98,10 +97,10 @@ def _parse_hypergraph(text: str) -> CompatibilityHypergraph:
     if isinstance(doc, dict) and "hypergraph" in doc:
         return model_from_json(text).hypergraph
     return CompatibilityHypergraph(
-        tuple(_list_in(doc["measurements"], "measurements")),
+        tuple(list_in(doc["measurements"], "measurements")),
         tuple(
-            tuple(_list_in(c, f"contexts[{i}]"))
-            for i, c in enumerate(_list_in(doc["contexts"], "contexts"))
+            tuple(list_in(c, f"contexts[{i}]"))
+            for i, c in enumerate(list_in(doc["contexts"], "contexts"))
         ),
     )
 
@@ -440,6 +439,13 @@ _SWEEP_DEFAULTS = {
 }
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_sweep(args):
     if args.workers < 1:
         raise _InputError(f"--workers must be positive, got {args.workers}")
@@ -450,13 +456,13 @@ def _cmd_sweep(args):
         try:
             value = parse_rational(tok)
         except ValueError as exc:
-            raise _InputError(f"bad sweep point {tok!r}: {exc}") from exc
+            raise _InputError(f"bad sweep point {excerpt(tok)!r}: {exc}") from exc
         if family == "pr-noise" and not 0 <= value <= 1:
-            raise _InputError(f"pr-noise weight must be in [0,1], got {tok}")
+            raise _InputError(f"pr-noise weight must be in [0,1], got {excerpt(tok)}")
         if family == "disturbance-gap" and not 0 <= value <= Fraction(1, 2):
-            raise _InputError(f"disturbance gap must be in [0,1/2], got {tok}")
+            raise _InputError(f"disturbance gap must be in [0,1/2], got {excerpt(tok)}")
     jobs = [(family, tok) for tok in points]
-    workers = min(args.workers, len(jobs))
+    workers = min(args.workers, len(jobs), _usable_cpus())
     if workers > 1:
         with Pool(workers) as pool:
             rows = pool.starmap(_sweep_point, jobs)

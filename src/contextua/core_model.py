@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from ._rat import format_rational, parse_rational
+from ._rat import format_rational, int_in, list_in, rational_in
 from .vorobyev import CompatibilityHypergraph
 
 Vec = tuple[Fraction, ...]
@@ -598,28 +598,8 @@ def fragment_to_json(f: GptFragment) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _rational_in(x, what: str) -> Fraction:
-    if isinstance(x, str):
-        return parse_rational(x)
-    if type(x) is bool:  # JSON true/false are not numbers
-        raise ValueError(f"{what} holds {json.dumps(x)}, not a rational")
-    return Fraction(x)
-
-
-def _int_in(x, what: str) -> int:
-    if type(x) is not int:  # JSON integers only: no bool, float or string
-        raise ValueError(f"{what} {x!r} is not an integer")
-    return x
-
-
-def _list_in(x, what: str) -> list:
-    if type(x) is not list:  # JSON lists only: a string is not its characters
-        raise ValueError(f"{what} is not a JSON list")
-    return x
-
-
 def _rationals_in(x, what: str) -> Vec:
-    return tuple(_rational_in(v, what) for v in _list_in(x, what))
+    return tuple(rational_in(v, what) for v in list_in(x, what))
 
 
 def fragment_from_json(text: str) -> GptFragment:
@@ -628,28 +608,28 @@ def fragment_from_json(text: str) -> GptFragment:
     def rows(field: str) -> tuple[Vec, ...]:
         return tuple(
             _rationals_in(v, f"{field}[{i}]")
-            for i, v in enumerate(_list_in(payload[field], field))
+            for i, v in enumerate(list_in(payload[field], field))
         )
 
     return GptFragment(
-        dimension=_int_in(payload["dimension"], "dimension"),
+        dimension=int_in(payload["dimension"], "dimension"),
         states=rows("states"),
         effects=rows("effects"),
         unit_effect=_rationals_in(payload["unit_effect"], "unit_effect"),
         measurements=tuple(
             tuple(
-                _int_in(r, "effect index")
-                for r in _list_in(m, f"measurements[{i}]")
+                int_in(r, "effect index")
+                for r in list_in(m, f"measurements[{i}]")
             )
-            for i, m in enumerate(_list_in(payload["measurements"], "measurements"))
+            for i, m in enumerate(list_in(payload["measurements"], "measurements"))
         ),
         transformations=tuple(
             tuple(
                 _rationals_in(row, f"transformations[{t}][{r}]")
-                for r, row in enumerate(_list_in(m, f"transformations[{t}]"))
+                for r, row in enumerate(list_in(m, f"transformations[{t}]"))
             )
             for t, m in enumerate(
-                _list_in(payload.get("transformations", []), "transformations")
+                list_in(payload.get("transformations", []), "transformations")
             )
         ),
     )
@@ -669,8 +649,8 @@ def model_to_json(m: EmpiricalModel) -> str:
 def model_from_json(text: str) -> EmpiricalModel:
     payload = json.loads(text)
     contexts = tuple(
-        tuple(_list_in(c, f"hypergraph[{i}]"))
-        for i, c in enumerate(_list_in(payload["hypergraph"], "hypergraph"))
+        tuple(list_in(c, f"hypergraph[{i}]"))
+        for i, c in enumerate(list_in(payload["hypergraph"], "hypergraph"))
     )
     measurements = tuple(sorted({m for c in contexts for m in c}))
     tables = tuple(
@@ -680,7 +660,7 @@ def model_from_json(text: str) -> EmpiricalModel:
     return EmpiricalModel(
         hypergraph=CompatibilityHypergraph(measurements, contexts),
         outcomes={
-            k: _int_in(v, f"measurement {k!r} outcome count")
+            k: int_in(v, f"measurement {k!r} outcome count")
             for k, v in payload["outcomes"].items()
         },
         tables=tables,

@@ -11,9 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._rat import format_rational, parse_rational
+from ._rat import format_rational, list_in, rational_in
 from .connection import ConnectionDecomposition, ObjectComplex
-from .core_model import _list_in
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
     import numpy as np
@@ -113,14 +112,25 @@ def all_i2(m: EventMeasure) -> dict[tuple[str, str], Fraction | float]:
 
 
 def all_i3(m: EventMeasure) -> dict[tuple[str, str, str], Fraction | float]:
+    """Triple interference for every listed pairwise disjoint triple whose
+    pair joins and triple join are listed.
+
+    Triples are built from partners: an event's partners are the later
+    nonempty events disjoint from it whose join with it is listed, so a
+    triple (a, b, c) takes b and c among a's partners and c among b's.
+    """
+    events = [e for e in sorted(m.masses, key=_event_key) if e]
+    partners = {
+        a: [b for b in events[i + 1:] if not a & b and a | b in m.masses]
+        for i, a in enumerate(events)
+    }
+    partner_sets = {a: set(later) for a, later in partners.items()}
     out = {}
-    events = sorted(m.masses, key=_event_key)
-    for a, b, c in combinations(events, 3):
-        if not (a and b and c and _disjoint(a, b, c)):
-            continue
-        joins = (a | b, b | c, a | c, a | b | c)
-        if all(j in m.masses for j in joins):
-            out[(_event_key(a), _event_key(b), _event_key(c))] = i3(m, a, b, c)
+    for a in events:
+        for j, b in enumerate(partners[a]):
+            for c in partners[a][j + 1:]:
+                if c in partner_sets[b] and a | b | c in m.masses:
+                    out[(_event_key(a), _event_key(b), _event_key(c))] = i3(m, a, b, c)
     return out
 
 
@@ -255,11 +265,10 @@ def measure_to_json(m: EventMeasure) -> str:
 
 def measure_from_json(text: str) -> EventMeasure:
     payload = json.loads(text)
-    masses = {}
-    for key, value in payload["masses"].items():
-        if isinstance(value, str):
-            value = parse_rational(value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"mass of {key!r} must be a number or a rational string")
-        masses[_parse_event_key(key)] = value
-    return EventMeasure(tuple(_list_in(payload["atoms"], "atoms")), masses)
+    masses = {  # a JSON float is a Born-rule mass and stays a float
+        _parse_event_key(key): (
+            value if type(value) is float else rational_in(value, f"mass of {key!r}")
+        )
+        for key, value in payload["masses"].items()
+    }
+    return EventMeasure(tuple(list_in(payload["atoms"], "atoms")), masses)

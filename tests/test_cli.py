@@ -347,12 +347,13 @@ def test_sweep_csv_and_worker_determinism(capsys, tmp_path):
         assert len(err.splitlines()) == 1
 
 
-def test_sweep_pool_has_one_process_per_point_at_most(capsys, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the sweep's process pool by one that runs the jobs in this
+    process and records each requested size, so no process starts."""
     sizes = []
 
     class RecordingPool:
-        """Runs the jobs in this process and records the requested size."""
-
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -366,13 +367,41 @@ def test_sweep_pool_has_one_process_per_point_at_most(capsys, monkeypatch):
             return [fn(*job) for job in jobs]
 
     monkeypatch.setattr(cli, "Pool", RecordingPool)
+    return sizes
+
+
+def test_sweep_pool_has_one_process_per_point_at_most(capsys, monkeypatch, pool_sizes):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
     argv = ("sweep", "disturbance-gap", "--points", "0,1/4", "--json")
     code, serial, _ = run(capsys, *argv)
-    assert code == 0 and sizes == []
+    assert code == 0 and pool_sizes == []
     code, pooled, _ = run(capsys, *argv, "--workers", "8")
-    assert code == 0 and pooled == serial and sizes == [2]
+    assert code == 0 and pooled == serial and pool_sizes == [2]
     code, _, _ = run(capsys, "sweep", "disturbance-gap", "--points", "0", "--workers", "8")
-    assert code == 0 and sizes == [2]  # one point runs in this process
+    assert code == 0 and pool_sizes == [2]  # one point runs in this process
+
+
+def test_sweep_pool_has_one_process_per_cpu_at_most(capsys, monkeypatch, pool_sizes):
+    assert cli._usable_cpus() >= 1
+    argv = ("sweep", "disturbance-gap", "--points", "0,1/8,1/4,3/8", "--json")
+    code, serial, _ = run(capsys, *argv)
+    assert code == 0
+    for cpus in (3, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        code, pooled, _ = run(capsys, *argv, "--workers", "5000")
+        assert code == 0 and pooled == serial
+    assert pool_sizes == [3]  # a single CPU runs the points in this process
+
+
+def test_an_oversized_sweep_point_is_refused_in_one_short_line(capsys):
+    for family, point in (
+        ("disturbance-gap", "1/" + "x" * 100_000),
+        ("disturbance-gap", "1" * 4000),
+        ("pr-noise", "1" * 4000),
+    ):
+        code, out, err = run(capsys, "sweep", family, "--points", point)
+        assert code == 2 and not out and len(err.splitlines()) == 1
+        assert len(err.encode()) < 200, err[:300]
 
 
 def test_pr_noise_sweep_row(capsys):
@@ -608,6 +637,15 @@ def test_rational_text_and_json_lists_load(capsys, tmp_path, command, doc):
         ("vorobyev", {"measurements": "ab", "contexts": [["a", "b"]]},
          "measurements is not a JSON list"),
         ("interference", dict(TWO_ATOMS, atoms="ab"), "atoms is not a JSON list"),
+        # null, lists, objects and non-finite floats are not numbers either
+        ("nc-check", dict(CLASSICAL_BIT, states=[[{"a": 1}, 0], [0, 1]]),
+         'states[0] holds {"a": 1}, not a rational'),
+        ("fraction", dict(SPLIT_MODEL, tables={"0": [None, 0, 0, 1]}),
+         'tables["0"] holds null, not a rational'),
+        ("interference", dict(TWO_ATOMS, masses={"a": [1], "b": 0, "a|b": 1}),
+         "mass of 'a' holds [1], not a rational"),
+        ("nc-check", dict(CLASSICAL_BIT, effects=[[math.inf, 0], [0, 1]]),
+         "effects[0] holds Infinity, not a rational"),
     ],
 )
 def test_malformed_entries_exit_2_naming_the_field(
@@ -618,6 +656,62 @@ def test_malformed_entries_exit_2_naming_the_field(
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and not out and len(err.splitlines()) == 1
     assert err.endswith(f"{complaint}\n")
+
+
+def test_json_float_literals_read_as_the_decimals_they_spell(capsys, tmp_path):
+    path = tmp_path / "bit.json"
+    path.write_text(json.dumps(dict(CLASSICAL_BIT, states=[[0.1, 0.9], [0, 1]])))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out.splitlines()[0], err) == (0, "ok: True", "")
+
+
+def test_integer_masses_are_exact(capsys, tmp_path):
+    path = tmp_path / "measure.json"
+    for masses in ({"a": 1, "b": 0, "a|b": 1}, {"a": "1", "b": "0", "a|b": "1"}):
+        path.write_text(json.dumps({"atoms": ["a", "b"], "masses": masses}))
+        code, out, err = run(capsys, "interference", str(path))
+        assert (code, out, err) == (0, "order: 2\nvalues:\n  a|b: 0\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("validate", dict(CLASSICAL_BIT, dimension="9" * 100_000)),
+        ("fraction", dict(SPLIT_MODEL, outcomes={"a": [2] * 50_000, "b": 2})),
+        ("interference", dict(TWO_ATOMS, masses={"a": [1] * 50_000, "a|b": 1})),
+        ("validate", dict(CLASSICAL_BIT, states=[[{"a": "1" * 50_000}, 0]])),
+        ("validate", dict(CLASSICAL_BIT, states=[["1/" + "x" * 4000, 0]])),
+    ],
+    ids=["dimension", "outcome-count", "mass", "object-in-a-state", "bad-literal"],
+)
+def test_an_oversized_value_is_refused_in_one_short_line(
+    capsys, tmp_path, command, doc
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and not out and len(err.splitlines()) == 1
+    assert len(err.replace(str(path), "").encode()) < 200, err[:300]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("validate", dict(CLASSICAL_BIT, states=[["HUGE", 0], [0, 1]])),
+        ("validate", dict(CLASSICAL_BIT, dimension="HUGE")),
+        ("fraction", dict(SPLIT_MODEL, tables={"0": ["HUGE", 0, 0, 0]})),
+        ("fraction", dict(SPLIT_MODEL, outcomes={"a": "HUGE", "b": 2})),
+        ("interference", dict(TWO_ATOMS, masses={"a": "HUGE", "b": 0, "a|b": 1})),
+        ("homology", [[0, "HUGE"]]),
+    ],
+    ids=["state", "dimension", "table", "outcome-count", "mass", "vertex"],
+)
+def test_a_number_beyond_float_range_exits_2(capsys, tmp_path, command, doc):
+    # 1e400 loads as a float infinity, which names no rational
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and not out and len(err.splitlines()) == 1
 
 
 def test_a_nan_phase_emits_no_two_slit_measure(capsys):

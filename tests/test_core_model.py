@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextua._rat import parse_rational
+from contextua._rat import excerpt, format_rational, parse_rational
 from contextua.core_model import (
     KINDS,
     EmpiricalModel,
@@ -476,6 +476,68 @@ def test_parse_rational_bounds_the_decimal_exponent():
             parse_rational(text)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+
+
+def test_a_refused_literal_is_quoted_by_its_excerpt():
+    assert excerpt("1/3") == "1/3" and excerpt("7" * 40) == "7" * 40
+    assert excerpt("a" * 30 + "b" * 100 + "c" * 8) == "a" * 30 + "..." + "c" * 8
+    for text in ("x" * 3000, "1" * 4000 + "/0", "1" * 5000):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert len(str(info.value)) < 100 and "..." in str(info.value)
+
+
+short_decimals = st.builds(
+    lambda n, a, b: F(n, 2**a * 5**b),
+    st.integers(-(10**6), 10**6),
+    st.integers(0, 8),
+    st.integers(0, 8),
+)
+
+
+def _map_leaves(doc, fn):
+    if isinstance(doc, F):
+        return fn(doc)
+    if isinstance(doc, list):
+        return [_map_leaves(x, fn) for x in doc]
+    if isinstance(doc, dict):
+        return {k: _map_leaves(v, fn) for k, v in doc.items()}
+    return doc
+
+
+def _number_literal(x: F):
+    return x.numerator if x.denominator == 1 else float(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_json_number_literals_read_as_the_decimals_they_spell(data):
+    """A short decimal written as a JSON number reads as the same rational as
+    its rational text, in every numeric field of fragment and model files."""
+    d = data.draw(st.integers(1, 3))
+    vec = st.lists(short_decimals, min_size=d, max_size=d)
+    fragment = {
+        "dimension": d,
+        "states": data.draw(st.lists(vec, min_size=1, max_size=3)),
+        "effects": data.draw(st.lists(vec, min_size=1, max_size=3)),
+        "unit_effect": data.draw(vec),
+        "measurements": [],
+        "transformations": data.draw(
+            st.lists(st.lists(vec, min_size=d, max_size=d), max_size=2)
+        ),
+    }
+    den = 2 ** data.draw(st.integers(0, 8)) * 5 ** data.draw(st.integers(0, 8))
+    cuts = sorted(data.draw(st.lists(st.integers(0, den), min_size=5, max_size=5)))
+    table = [F(y - x, den) for x, y in zip([0, *cuts], [*cuts, den])]
+    model = {
+        "hypergraph": [["a", "b"]],
+        "outcomes": {"a": 2, "b": 3},
+        "tables": {"0": table},
+    }
+    for doc, read in ((fragment, fragment_from_json), (model, model_from_json)):
+        literals = read(json.dumps(_map_leaves(doc, _number_literal)))
+        assert literals == read(json.dumps(_map_leaves(doc, format_rational)))
+    assert literals.tables == (tuple(table),)
 
 
 def pr_box_model():

@@ -1,0 +1,25 @@
+"""Rules every module under src/contextua keeps, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "contextua"
+
+
+def test_modules_use_no_assert_and_import_no_private_name():
+    """``python -O`` strips ``assert`` statements, so checks raise typed
+    errors; and a module reaches another module through its public names."""
+    asserts, private = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                asserts.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom):
+                private += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert asserts == [], asserts
+    assert private == [], private
