@@ -112,25 +112,14 @@ def all_i2(m: EventMeasure) -> dict[tuple[str, str], Fraction | float]:
 
 
 def all_i3(m: EventMeasure) -> dict[tuple[str, str, str], Fraction | float]:
-    """Triple interference for every listed pairwise disjoint triple whose
-    pair joins and triple join are listed.
-
-    Triples are built from partners: an event's partners are the later
-    nonempty events disjoint from it whose join with it is listed, so a
-    triple (a, b, c) takes b and c among a's partners and c among b's.
-    """
-    events = [e for e in sorted(m.masses, key=_event_key) if e]
-    partners = {
-        a: [b for b in events[i + 1:] if not a & b and a | b in m.masses]
-        for i, a in enumerate(events)
-    }
-    partner_sets = {a: set(later) for a, later in partners.items()}
     out = {}
-    for a in events:
-        for j, b in enumerate(partners[a]):
-            for c in partners[a][j + 1:]:
-                if c in partner_sets[b] and a | b | c in m.masses:
-                    out[(_event_key(a), _event_key(b), _event_key(c))] = i3(m, a, b, c)
+    events = sorted(m.masses, key=_event_key)
+    for a, b, c in combinations(events, 3):
+        if not (a and b and c and _disjoint(a, b, c)):
+            continue
+        joins = (a | b, b | c, a | c, a | b | c)
+        if all(j in m.masses for j in joins):
+            out[(_event_key(a), _event_key(b), _event_key(c))] = i3(m, a, b, c)
     return out
 
 

@@ -658,7 +658,7 @@ def test_malformed_entries_exit_2_naming_the_field(
     assert err.endswith(f"{complaint}\n")
 
 
-def test_json_float_literals_read_as_the_decimals_they_spell(capsys, tmp_path):
+def test_json_float_literals_read_as_the_shortest_decimal_naming_the_double(capsys, tmp_path):
     path = tmp_path / "bit.json"
     path.write_text(json.dumps(dict(CLASSICAL_BIT, states=[[0.1, 0.9], [0, 1]])))
     code, out, err = run(capsys, "validate", str(path))

@@ -511,7 +511,7 @@ def _number_literal(x: F):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_json_number_literals_read_as_the_decimals_they_spell(data):
+def test_json_number_literals_read_as_the_shortest_decimal_naming_the_double(data):
     """A short decimal written as a JSON number reads as the same rational as
     its rational text, in every numeric field of fragment and model files."""
     d = data.draw(st.integers(1, 3))
@@ -539,6 +539,19 @@ def test_json_number_literals_read_as_the_decimals_they_spell(data):
         assert literals == read(json.dumps(_map_leaves(doc, format_rational)))
     assert literals.tables == (tuple(table),)
 
+
+def test_a_long_json_number_literal_reads_as_its_double_not_its_digits():
+    """A literal with more significant digits than a double holds reads as
+    the shortest decimal naming its double; the same digits as text are
+    read exactly."""
+    digits = "0.12345678901234567891"
+    doc = (
+        '{"dimension": 1, "states": [[%s]], "effects": [], "unit_effect": [1], '
+        '"measurements": []}'
+    )
+    literal = fragment_from_json(doc % digits).states[0][0]
+    text = fragment_from_json(doc % f'"{digits}"').states[0][0]
+    assert literal == F("0.12345678901234568") != text == F(digits)
 
 def pr_box_model():
     h = CompatibilityHypergraph(

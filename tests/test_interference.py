@@ -1,6 +1,4 @@
 from fractions import Fraction as F
-from itertools import combinations
-from random import Random
 
 import numpy as np
 import pytest
@@ -281,36 +279,3 @@ def test_enumerations_and_json_roundtrip():
     assert back.atoms == m.atoms
     assert back.masses == m.masses
     assert measure_to_json(back) == text
-
-
-def _brute_force_i3(m):
-    """The definition of ``all_i3``: every listed triple, in sorted order."""
-    out = {}
-    events = sorted(m.masses, key=lambda e: "|".join(sorted(e)))
-    for a, b, c in combinations(events, 3):
-        if not (a and b and c) or a & b or b & c or a & c:
-            continue
-        if all(j in m.masses for j in (a | b, b | c, a | c, a | b | c)):
-            key = tuple("|".join(sorted(e)) for e in (a, b, c))
-            out[key] = i3(m, a, b, c)
-    return out
-
-
-def test_all_i3_matches_the_brute_force_definition():
-    for seed in range(300):
-        rng = Random(seed)
-        atoms = "abcdef"[: rng.randint(1, 6)]
-        events = [
-            frozenset(c)
-            for r in range(len(atoms) + 1)
-            for c in combinations(atoms, r)
-        ]
-        keep = rng.random()
-        masses = {e: F(rng.randint(0, 9), 8) for e in events if rng.random() < keep}
-        masses.pop(frozenset(), None)
-        m = EventMeasure(tuple(atoms), masses)
-        got = all_i3(m)
-        assert list(got.items()) == list(_brute_force_i3(m).items()), seed
-    # singletons alone have no listed joins, so no triple
-    singles = {frozenset([f"x{i:03d}"]): F(1, 200) for i in range(200)}
-    assert all_i3(EventMeasure(tuple(sorted(map(min, singles))), singles)) == {}
