@@ -10,8 +10,8 @@ fraction left after splitting the disagreeing measurements apart.
 """
 
 import argparse
-from fractions import Fraction
 
+from contextua._rat import rationals
 from contextua.disturbance import (
     detect_disturbance,
     extend_scenario,
@@ -39,19 +39,25 @@ def report(title, models):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--gaps", default="0,1/8,1/4,3/8,1/2", help="planted chain gaps in [0,1/2]"
+        "--gaps",
+        type=rationals,
+        default="0,1/8,1/4,3/8,1/2",
+        help="planted chain gaps in [0,1/2]",
     )
     parser.add_argument(
-        "--nudges", default="0,1/8,1/4,1/2,1", help="box corner weights in [0,1]"
+        "--nudges",
+        type=rationals,
+        default="0,1/8,1/4,1/2,1",
+        help="box corner weights in [0,1]",
     )
     args = parser.parse_args()
 
-    gaps = [Fraction(p) for p in args.gaps.split(",")]
-    report("planted chain (pure disturbance)", [(g, planted_gap_model(g)) for g in gaps])
-    nudges = [Fraction(p) for p in args.nudges.split(",")]
+    report(
+        "planted chain (pure disturbance)", [(g, planted_gap_model(g)) for g in args.gaps]
+    )
     report(
         "nudged extremal box (disturbance eats contextuality)",
-        [(g, nudged_box(g)) for g in nudges],
+        [(g, nudged_box(g)) for g in args.nudges],
     )
 
 

@@ -11,6 +11,7 @@ grid and bisection take about 4.5 s in all (Python 3.11, one core).
 import argparse
 from fractions import Fraction
 
+from contextua._rat import rationals
 from contextua.noncontextuality import (
     contextual_fraction,
     minimal_negativity,
@@ -27,6 +28,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--grid",
+        type=rationals,
         default="0,1/4,1/2,5/8,3/4,1",
         help="comma-separated mixing weights in [0,1]",
     )
@@ -34,11 +36,9 @@ def main() -> None:
         "--bisect-steps", type=int, default=5, help="threshold refinement steps"
     )
     args = parser.parse_args()
-    grid = [Fraction(p) for p in args.grid.split(",")]
-
     print(f"{'w':>8} {'embedding':>10} {'negativity':>12} {'fraction':>10}")
     last_feasible, first_infeasible = None, None
-    for w in grid:
+    for w in args.grid:
         f = noisy_pr_fragment(w)
         solution = noncontextual_lp(f)
         _, negativity = minimal_negativity(f)

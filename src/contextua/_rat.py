@@ -71,6 +71,12 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def rationals(text: str) -> list[Fraction]:
+    """The comma-separated rationals in ``text``, each read by
+    :func:`parse_rational`; blank entries are skipped."""
+    return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
+
+
 def rational_in(x, what: str) -> Fraction:
     """A JSON value read as an exact rational by :func:`parse_rational`:
     rational text, an integer, or a finite float as the shortest decimal that

@@ -19,7 +19,7 @@ from multiprocessing import Pool
 from random import Random
 
 from . import ddg
-from ._rat import excerpt, format_rational, list_in, parse_rational
+from ._rat import excerpt, format_rational, list_in, parse_rational, rationals
 from .connection import (
     build_object_complex,
     curvature,
@@ -65,10 +65,6 @@ from .scenarios import (
 from .vorobyev import CompatibilityHypergraph, graham_reduce, h1_certificate
 
 
-class _InputError(Exception):
-    """User-input problem: reported on stderr with exit code 2."""
-
-
 # -- loading -----------------------------------------------------------------
 
 
@@ -77,7 +73,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _load(parser_fn, path: str, what: str):
@@ -85,10 +81,10 @@ def _load(parser_fn, path: str, what: str):
     try:
         return parser_fn(text)
     except json.JSONDecodeError as exc:
-        raise _InputError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         # AttributeError: a JSON value of the wrong type, such as null masses
-        raise _InputError(f"bad {what} file {path}: {exc}") from exc
+        raise ValueError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _parse_hypergraph(text: str) -> CompatibilityHypergraph:
@@ -139,11 +135,11 @@ def _parse_complex(text: str) -> ddg.SimplicialComplex:
 
 def _parse_values(text: str, expected: int) -> list[Fraction]:
     try:
-        values = [parse_rational(tok) for tok in text.split(",") if tok.strip()]
+        values = rationals(text)
     except ValueError as exc:
-        raise _InputError(f"bad --values entry: {exc}") from exc
+        raise ValueError(f"bad --values entry: {exc}") from exc
     if len(values) != expected:
-        raise _InputError(
+        raise ValueError(
             f"--values needs {expected} comma-separated rationals, got {len(values)}"
         )
     return values
@@ -162,23 +158,42 @@ def _parse_params(pairs) -> dict:
     params = {}
     for pair in pairs or ():
         if "=" not in pair:
-            raise _InputError(f"--param expects key=value, got {pair!r}")
+            raise ValueError(f"--param expects key=value, got {excerpt(pair)!r}")
         key, _, raw = pair.partition("=")
         params[key.strip()] = _coerce_param(raw.strip())
     return params
 
 
+def _quoted(exc: Exception, params: dict) -> str:
+    """A factory's error message with each parameter key and value it spells
+    quoted by :func:`excerpt`: Python's own messages spell them whole."""
+    text = str(exc)
+    for part in [*params, *map(str, params.values())]:
+        text = text.replace(part, excerpt(part))
+    return text
+
+
 # -- shared pieces -----------------------------------------------------------
 
-def _complex_for(args, path: str, view: str):
-    f = _load(fragment_from_json, path, "fragment")
+#: The reader of each input file kind a subcommand may declare.
+_READERS = {
+    "fragment": fragment_from_json,
+    "model": model_from_json,
+    "measure": measure_from_json,
+    "complex": _parse_complex,
+}
+
+
+def _decomposition(f, args, view: str):
+    """The object complex of ``--kind`` and the split of its ``--values``."""
     oc = build_object_complex(args.kind, f, equivalences(f, args.kind), view)
     if args.values is None:
-        raise _InputError(
+        raise ValueError(
             f"--values with {oc.object_count} rationals is required "
             f"for kind {args.kind!r}"
         )
-    return oc, valuation_from_values(oc, _parse_values(args.values, oc.object_count))
+    xi = valuation_from_values(oc, _parse_values(args.values, oc.object_count))
+    return oc, decompose(oc, xi)
 
 
 def _fractions_payload(report) -> dict:
@@ -196,15 +211,14 @@ def _limits(args) -> Limits:
     if cap is None:
         return Limits()
     if cap < 1:
-        raise _InputError(f"--scale-cap must be positive, got {cap}")
+        raise ValueError(f"--scale-cap must be positive, got {cap}")
     return Limits(cap, cap, cap)
 
 
-# -- subcommand handlers: (report, bad_verdict) ------------------------------
+# -- subcommand handlers: (input, args) -> (report, bad_verdict) -------------
 
 
-def _cmd_validate(args):
-    f = _load(fragment_from_json, args.file, "fragment")
+def _cmd_validate(f, args):
     report = validate_fragment(f)
     return (
         {"ok": report.ok, "structural": report.structural, "violations": report.violations},
@@ -212,9 +226,7 @@ def _cmd_validate(args):
     )
 
 
-def _cmd_equivalences(args):
-    f = _load(fragment_from_json, args.file, "fragment")
-
+def _cmd_equivalences(f, args):
     def payload(eqs):
         return [
             {
@@ -231,20 +243,16 @@ def _cmd_equivalences(args):
     return report, False
 
 
-def _cmd_nc_check(args):
-    limits = _limits(args)
-    f = _load(fragment_from_json, args.file, "fragment")
-    solution = noncontextual_lp(f, limits=limits)
+def _cmd_nc_check(f, args):
+    solution = noncontextual_lp(f, limits=args.limits)
     report = {"status": solution.status}
     if solution.status == "infeasible":
         report["certificate_verified"] = solution.certificate_checks()
     return report, solution.status != "optimal"
 
 
-def _cmd_fraction(args):
-    limits = _limits(args)
-    m = _load(model_from_json, args.file, "model")
-    report = contextual_fraction(m, limits=limits)
+def _cmd_fraction(m, args):
+    report = contextual_fraction(m, limits=args.limits)
     payload = {
         **_fractions_payload(report),
         "has_noncontextual_part": report.p_nc is not None,
@@ -253,22 +261,18 @@ def _cmd_fraction(args):
     return payload, report.cf > 0
 
 
-def _cmd_negativity(args):
-    limits = _limits(args)
-    f = _load(fragment_from_json, args.file, "fragment")
-    _, negativity = minimal_negativity(f, limits=limits)
+def _cmd_negativity(f, args):
+    _, negativity = minimal_negativity(f, limits=args.limits)
     return {"negativity": format_rational(negativity)}, negativity > 0
 
 
-def _cmd_decompose(args):
-    oc, xi = _complex_for(args, args.file, args.view)
-    dec = decompose(oc, xi)
+def _cmd_decompose(f, args):
+    oc, dec = _decomposition(f, args, args.view)
     return decomposition_report(oc, dec), False
 
 
-def _cmd_curvature(args):
-    oc, xi = _complex_for(args, args.file, "geometrical")
-    dec = decompose(oc, xi)
+def _cmd_curvature(f, args):
+    oc, dec = _decomposition(f, args, "geometrical")
     curv = curvature(oc, dec)
     report = {
         "curvature": curv.values.payload(),
@@ -280,9 +284,8 @@ def _cmd_curvature(args):
     return report, False
 
 
-def _cmd_phases(args):
-    oc, xi = _complex_for(args, args.file, "topological")
-    dec = decompose(oc, xi)
+def _cmd_phases(f, args):
+    oc, dec = _decomposition(f, args, "topological")
     phases = loop_phases(oc, dec)
     report = {
         "phases": {
@@ -294,8 +297,7 @@ def _cmd_phases(args):
     return report, not report["all_zero"]
 
 
-def _cmd_homology(args):
-    complex_ = _load(_parse_complex, args.file, "complex")
+def _cmd_homology(complex_, args):
     group = ddg.homology(complex_, args.n)
     report = {
         "degree": group.degree,
@@ -305,13 +307,14 @@ def _cmd_homology(args):
     return report, False
 
 
-def _cmd_vorobyev(args):
+def _cmd_vorobyev(_, args):
+    # both inputs are optional, so this handler loads whichever it is given
     if args.generalized is not None:
         complex_ = _load(_parse_complex, args.generalized, "complex")
         verdict, betti = h1_certificate(complex_)
         return {"verdict": verdict, "betti_1": betti}, False
     if args.file is None:
-        raise _InputError("vorobyev needs a hypergraph file or --generalized")
+        raise ValueError("vorobyev needs a hypergraph file or --generalized")
     h = _load(_parse_hypergraph, args.file, "hypergraph")
     reduced, trace = graham_reduce(h)
     report = {
@@ -322,8 +325,7 @@ def _cmd_vorobyev(args):
     return report, False
 
 
-def _cmd_interference(args):
-    m = _load(measure_from_json, args.file, "measure")
+def _cmd_interference(m, args):
     table = all_i2(m) if args.order == 2 else all_i3(m)
 
     def fmt(value):
@@ -352,7 +354,7 @@ def _emit_random(name: str, seed: int) -> str:
     return model_to_json(m)
 
 
-def _cmd_scenarios(args):
+def _cmd_scenarios(_, args):
     if args.action == "list":
         rows = [
             {"name": name, "kind": SCENARIOS[name][0] if name in SCENARIOS else _RANDOM_KINDS[name]}
@@ -360,23 +362,25 @@ def _cmd_scenarios(args):
         ]
         return {"scenarios": rows}, False
     if args.name is None:
-        raise _InputError("scenarios emit needs a scenario name")
+        raise ValueError("scenarios emit needs a scenario name")
     params = _parse_params(args.param)
     if args.name in _RANDOM_KINDS:
         if params:
-            raise _InputError("random scenarios take --seed, not --param")
+            raise ValueError("random scenarios take --seed, not --param")
         return {"_raw": _emit_random(args.name, args.seed)}, False
     if args.name not in SCENARIOS:
-        raise _InputError(
-            f"unknown scenario {args.name!r}; try `contextua scenarios list`"
+        raise ValueError(
+            f"unknown scenario {excerpt(args.name)!r}; try `contextua scenarios list`"
         )
     kind, factory = SCENARIOS[args.name]
     try:
         obj = factory(**params)
     except TypeError as exc:
-        raise _InputError(f"bad parameters for {args.name}: {exc}") from exc
+        raise ValueError(f"bad parameters for {args.name}: {_quoted(exc, params)}") from exc
     except (ValueError, OverflowError) as exc:  # Fraction(inf) overflows
-        raise _InputError(f"bad parameter value for {args.name}: {exc}") from exc
+        raise ValueError(
+            f"bad parameter value for {args.name}: {_quoted(exc, params)}"
+        ) from exc
     serializer = {
         "fragment": fragment_to_json,
         "model": model_to_json,
@@ -385,9 +389,7 @@ def _cmd_scenarios(args):
     return {"_raw": serializer(obj)}, False
 
 
-def _cmd_disturbance(args):
-    limits = _limits(args)
-    m = _load(model_from_json, args.file, "model")
+def _cmd_disturbance(m, args):
     findings = detect_disturbance(m)
     report = {
         "disturbing": bool(findings),
@@ -408,7 +410,7 @@ def _cmd_disturbance(args):
         }
     if args.fractions:
         report["fractions"] = _fractions_payload(
-            fractions_with_disturbance(m, limits=limits)
+            fractions_with_disturbance(m, limits=args.limits)
         )
     return report, bool(findings)
 
@@ -446,9 +448,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(_, args):
     if args.workers < 1:
-        raise _InputError(f"--workers must be positive, got {args.workers}")
+        raise ValueError(f"--workers must be positive, got {args.workers}")
     family = args.family
     points_text = args.points or _SWEEP_DEFAULTS[family]
     points = [tok.strip() for tok in points_text.split(",") if tok.strip()]
@@ -456,11 +458,11 @@ def _cmd_sweep(args):
         try:
             value = parse_rational(tok)
         except ValueError as exc:
-            raise _InputError(f"bad sweep point {excerpt(tok)!r}: {exc}") from exc
+            raise ValueError(f"bad sweep point {excerpt(tok)!r}: {exc}") from exc
         if family == "pr-noise" and not 0 <= value <= 1:
-            raise _InputError(f"pr-noise weight must be in [0,1], got {excerpt(tok)}")
+            raise ValueError(f"pr-noise weight must be in [0,1], got {excerpt(tok)}")
         if family == "disturbance-gap" and not 0 <= value <= Fraction(1, 2):
-            raise _InputError(f"disturbance gap must be in [0,1/2], got {excerpt(tok)}")
+            raise ValueError(f"disturbance gap must be in [0,1/2], got {excerpt(tok)}")
     jobs = [(family, tok) for tok in points]
     workers = min(args.workers, len(jobs), _usable_cpus())
     if workers > 1:
@@ -478,7 +480,7 @@ def _cmd_sweep(args):
             with open(args.emit_csv, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
         except OSError as exc:
-            raise _InputError(f"cannot write {args.emit_csv}: {exc}") from exc
+            raise ValueError(f"cannot write {args.emit_csv}: {exc}") from exc
     return {"family": family, "rows": rows}, False
 
 
@@ -492,128 +494,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="exit 1 when the verdict is contextual/infeasible/disturbing",
-        )
+    def command(name, handler, help, reads=None, capped=False):
+        """Declare one subcommand: ``reads`` is the kind of its ``file``
+        (see ``_READERS``), and ``capped`` gives it ``--scale-cap``."""
+        p = sub.add_parser(name, help=help)
+        if reads is not None:
+            p.add_argument("file")
+        p.set_defaults(handler=handler, reads=reads, capped=capped)
+        return p
 
-    def cap_flag(p):
-        p.add_argument(
-            "--scale-cap",
-            type=int,
-            metavar="N",
-            help="raise every analysis size guard to N",
-        )
-
-    p = sub.add_parser("validate", help="check a fragment's structure and invariants")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("equivalences", help="linear dependencies among states/effects")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(handler=_cmd_equivalences)
-
-    p = sub.add_parser("nc-check", help="simplex-embedding feasibility LP")
-    p.add_argument("file")
-    common(p)
-    cap_flag(p)
-    p.set_defaults(handler=_cmd_nc_check)
-
-    p = sub.add_parser("fraction", help="contextual fraction of an empirical model")
-    p.add_argument("file")
-    common(p)
-    cap_flag(p)
-    p.set_defaults(handler=_cmd_fraction)
-
-    p = sub.add_parser("negativity", help="minimal negativity over response vertices")
-    p.add_argument("file")
-    common(p)
-    cap_flag(p)
-    p.set_defaults(handler=_cmd_negativity)
-
-    for name, handler, fixed_view, blurb in (
-        ("decompose", _cmd_decompose, None, "potential/connection split"),
-        ("curvature", _cmd_curvature, "geometrical", "curvature"),
-        ("phases", _cmd_phases, "topological", "loop phases"),
+    command("validate", _cmd_validate, "check a fragment's structure and invariants",
+            reads="fragment")
+    command("equivalences", _cmd_equivalences, "linear dependencies among states/effects",
+            reads="fragment")
+    command("nc-check", _cmd_nc_check, "simplex-embedding feasibility LP",
+            reads="fragment", capped=True)
+    command("fraction", _cmd_fraction, "contextual fraction of an empirical model",
+            reads="model", capped=True)
+    command("negativity", _cmd_negativity, "minimal negativity over response vertices",
+            reads="fragment", capped=True)
+    for name, handler, blurb in (
+        ("decompose", _cmd_decompose, "potential/connection split"),
+        ("curvature", _cmd_curvature, "curvature"),
+        ("phases", _cmd_phases, "loop phases"),
     ):
-        p = sub.add_parser(name, help=f"{blurb} of an object-valuation cochain")
-        p.add_argument("file")
-        p.add_argument(
-            "--kind",
-            choices=KINDS,
-            default="state",
-        )
-        if fixed_view is None:
-            p.add_argument(
-                "--view",
-                choices=("geometrical", "topological"),
-                default="geometrical",
-            )
-        p.add_argument(
-            "--values",
-            help="comma-separated rational valuation, one entry per object",
-        )
-        common(p)
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("homology", help="integer homology of a complex")
-    p.add_argument("file")
+        p = command(name, handler, f"{blurb} of an object-valuation cochain", reads="fragment")
+        p.add_argument("--kind", choices=KINDS, default="state")
+        if name == "decompose":
+            p.add_argument("--view", choices=("geometrical", "topological"), default="geometrical")
+        p.add_argument("--values", help="comma-separated rational valuation, one entry per object")
+    p = command("homology", _cmd_homology, "integer homology of a complex", reads="complex")
     p.add_argument("--n", type=int, default=1, help="degree (default 1)")
-    common(p)
-    p.set_defaults(handler=_cmd_homology)
-
-    p = sub.add_parser("vorobyev", help="Graham reduction / certificate")
+    p = command("vorobyev", _cmd_vorobyev, "Graham reduction / certificate")
     p.add_argument("file", nargs="?")
-    p.add_argument(
-        "--generalized",
-        metavar="COMPLEX",
-        help="run the H1 certificate on a complex file instead",
-    )
-    common(p)
-    p.set_defaults(handler=_cmd_vorobyev)
-
-    p = sub.add_parser("interference", help="pairwise/triple interference terms")
-    p.add_argument("file")
+    p.add_argument("--generalized", metavar="COMPLEX",
+                   help="run the H1 certificate on a complex file instead")
+    p = command("interference", _cmd_interference, "pairwise/triple interference terms",
+                reads="measure")
     p.add_argument("--order", type=int, choices=(2, 3), default=2)
-    common(p)
-    p.set_defaults(handler=_cmd_interference)
-
-    p = sub.add_parser("disturbance", help="marginal disagreement analysis")
-    p.add_argument("file")
+    p = command("disturbance", _cmd_disturbance, "marginal disagreement analysis",
+                reads="model", capped=True)
     p.add_argument("--extend", action="store_true", help="include the split scenario")
-    p.add_argument(
-        "--fractions", action="store_true", help="include the NCF/CF/DF split"
-    )
-    common(p)
-    cap_flag(p)
-    p.set_defaults(handler=_cmd_disturbance)
-
-    p = sub.add_parser("scenarios", help="list or emit canonical inputs")
+    p.add_argument("--fractions", action="store_true", help="include the NCF/CF/DF split")
+    p = command("scenarios", _cmd_scenarios, "list or emit canonical inputs")
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("name", nargs="?")
-    p.add_argument(
-        "--param",
-        action="append",
-        metavar="K=V",
-        help="factory parameter, repeatable",
-    )
+    p.add_argument("--param", action="append", metavar="K=V", help="factory parameter, repeatable")
     p.add_argument("--seed", type=int, default=0, help="seed for random-* scenarios")
-    common(p)
-    p.set_defaults(handler=_cmd_scenarios)
-
-    p = sub.add_parser("sweep", help="parameter sweeps with CSV output")
+    p = command("sweep", _cmd_sweep, "parameter sweeps with CSV output")
     p.add_argument("family", choices=sorted(_SWEEP_DEFAULTS))
     p.add_argument("--points", help="comma-separated parameter values")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--emit-csv", metavar="PATH")
-    common(p)
-    p.set_defaults(handler=_cmd_sweep)
 
+    for p in sub.choices.values():  # the shared flags come last in every --help
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument("--strict", action="store_true",
+                       help="exit 1 when the verdict is contextual/infeasible/disturbing")
+        if p.get_default("capped"):
+            p.add_argument("--scale-cap", type=int, metavar="N",
+                           help="raise every analysis size guard to N")
     return parser
 
 
@@ -645,14 +585,18 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        report, bad = args.handler(args)
+        # the one input route: size guards, then the file, then the analysis
+        if args.capped:
+            args.limits = _limits(args)
+        data = _load(_READERS[args.reads], args.file, args.reads) if args.reads else None
+        report, bad = args.handler(data, args)
     except ScaleCapError as exc:
         print(f"input error: scale cap exceeded: {exc}", file=sys.stderr)
         return 2
     except DisturbingModelError as exc:
         print(f"input error: disturbing model: {exc}", file=sys.stderr)
         return 2
-    except (_InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if "_raw" in report:

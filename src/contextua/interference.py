@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._rat import format_rational, list_in, rational_in
+from ._rat import excerpt, format_rational, list_in, rational_in
 from .connection import ConnectionDecomposition, ObjectComplex
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
@@ -36,6 +36,7 @@ class EventMeasure:
         table = {frozenset(k): v for k, v in self.masses.items()}
         object.__setattr__(self, "masses", table)
         known = set(self.atoms)
+        floats = any(isinstance(value, float) for value in table.values())
         for event, value in table.items():
             stray = set(event) - known
             if stray:
@@ -43,6 +44,14 @@ class EventMeasure:
             if isinstance(value, float) and not math.isfinite(value):
                 key = _event_key(event)
                 raise ValueError(f"mass of {key!r} is {value}, not finite")
+            if floats and not isinstance(value, float):
+                try:  # the interference terms mix it with the float masses
+                    float(value)
+                except OverflowError:
+                    key = excerpt(_event_key(event))
+                    raise ValueError(
+                        f"mass of {key!r} is beyond float range, and other masses are floats"
+                    ) from None
         empty = table.get(frozenset())
         if empty is not None and empty != 0:
             raise ValueError(f"empty event must have mass 0, got {empty}")

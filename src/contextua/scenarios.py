@@ -752,7 +752,7 @@ CLASSICAL_SIMPLEX_CLI_MAX = 64
 
 
 def _classical_simplex_cli(n=3) -> GptFragment:
-    if n != int(n):
+    if isinstance(n, str) or n != int(n):  # a string is no number in any base
         raise ValueError("n must be a whole number")
     n = int(n)
     if n > CLASSICAL_SIMPLEX_CLI_MAX:

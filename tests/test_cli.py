@@ -404,6 +404,24 @@ def test_an_oversized_sweep_point_is_refused_in_one_short_line(capsys):
         assert len(err.encode()) < 200, err[:300]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gbit", "--param", "k" * 5000 + "=1"],
+        ["chsh-quantum", "--param", "a0=" + "x" * 5000],
+        ["x" * 200],
+        ["gbit", "--param", "k" * 5000],
+        ["classical-simplex", "--param", "n=-" + "7" * 4000],
+        ["classical-simplex", "--param", "n=" + "y" * 300],
+    ],
+    ids=["key", "value", "name", "no-equals", "long-number", "text-for-a-whole-number"],
+)
+def test_scenarios_emit_is_refused_in_one_short_line(capsys, argv):
+    code, out, err = run(capsys, "scenarios", "emit", *argv)
+    assert code == 2 and not out and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200, err[:300]
+
+
 def test_pr_noise_sweep_row(capsys):
     code, out, _ = run(capsys, "sweep", "pr-noise", "--points", "1/2", "--json")
     assert code == 0
@@ -703,11 +721,13 @@ def test_an_oversized_value_is_refused_in_one_short_line(
         ("fraction", dict(SPLIT_MODEL, outcomes={"a": "HUGE", "b": 2})),
         ("interference", dict(TWO_ATOMS, masses={"a": "HUGE", "b": 0, "a|b": 1})),
         ("homology", [[0, "HUGE"]]),
+        ("interference", dict(TWO_ATOMS, masses={"a": 0.5, "b": "1e400", "a|b": 1})),
     ],
-    ids=["state", "dimension", "table", "outcome-count", "mass", "vertex"],
+    ids=["state", "dimension", "table", "outcome-count", "mass", "vertex", "mixed-masses"],
 )
 def test_a_number_beyond_float_range_exits_2(capsys, tmp_path, command, doc):
-    # 1e400 loads as a float infinity, which names no rational
+    # 1e400 loads as a float infinity, which names no rational; as text it is
+    # an exact mass that no float can hold beside the float mass 0.5
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
     code, out, err = run(capsys, command, str(path))
@@ -815,6 +835,38 @@ def test_scale_cap_flag_is_scoped(capsys, tmp_path, command, scenario, cap):
     assert code == 2 and "--scale-cap must be positive" in err
     # the cap holds for that one run: the next run has the default limits
     assert run(capsys, name, path, *flags, "--json")[0] == 0
+
+
+#: Each subcommand's positionals and option strings, in parser order, after
+#: the -h/--help every parser has.
+FLAG_TABLE = {
+    "validate": ["file", "--json", "--strict"],
+    "equivalences": ["file", "--json", "--strict"],
+    "nc-check": ["file", "--json", "--strict", "--scale-cap"],
+    "fraction": ["file", "--json", "--strict", "--scale-cap"],
+    "negativity": ["file", "--json", "--strict", "--scale-cap"],
+    "decompose": ["file", "--kind", "--view", "--values", "--json", "--strict"],
+    "curvature": ["file", "--kind", "--values", "--json", "--strict"],
+    "phases": ["file", "--kind", "--values", "--json", "--strict"],
+    "homology": ["file", "--n", "--json", "--strict"],
+    "vorobyev": ["file", "--generalized", "--json", "--strict"],
+    "interference": ["file", "--order", "--json", "--strict"],
+    "disturbance": ["file", "--extend", "--fractions", "--json", "--strict", "--scale-cap"],
+    "scenarios": ["action", "name", "--param", "--seed", "--json", "--strict"],
+    "sweep": ["family", "--points", "--workers", "--emit-csv", "--json", "--strict"],
+}
+
+
+def test_the_flag_table_is_pinned():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = [
+        (name, ["/".join(a.option_strings) or a.dest for a in p._actions])
+        for name, p in sub.choices.items()
+    ]
+    assert table == [(name, ["-h/--help", *flags]) for name, flags in FLAG_TABLE.items()]
+    capped = [name for name, flags in table if "--scale-cap" in flags]
+    assert capped == ["nc-check", "fraction", "negativity", "disturbance"]
 
 
 def test_byte_identical_reports(capsys, tmp_path):

@@ -117,6 +117,11 @@ def test_input_validation():
         EventMeasure(("a",), {frozenset(): F(1, 3)})
     with pytest.raises(ValueError):
         EventMeasure(("a",), {frozenset("ab"): F(1, 3)})
+    # an exact mass beside float masses must have a float value
+    with pytest.raises(ValueError, match="'b' is beyond float range"):
+        EventMeasure(("a", "b"), {frozenset("a"): 0.5, frozenset("b"): F(10**400)})
+    big = EventMeasure(("a", "b"), {frozenset("a"): F(1), frozenset("b"): F(10**400)})
+    assert big.mass("b") == 10**400  # all exact, so no float is involved
     assert m.mass(frozenset()) == 0
 
 

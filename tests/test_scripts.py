@@ -51,6 +51,20 @@ def test_help_exits_0(name):
     assert "usage:" in done.stdout
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("disturbance_gap_report.py", ("--gaps", "x")),
+        ("sweep_pr_noise.py", ("--grid", "1e3000000")),
+    ],
+)
+def test_a_bad_number_list_is_a_usage_error(name, args):
+    done = run_script(name, *args)
+    assert done.returncode == 2 and not done.stdout
+    assert "usage:" in done.stderr and "Traceback" not in done.stderr
+    assert f"argument {args[0]}" in done.stderr
+
+
 def test_disturbance_gap_report_matches_the_library():
     done = run_script("disturbance_gap_report.py")
     assert done.returncode == 0, done.stderr
