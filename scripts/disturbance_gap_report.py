@@ -10,8 +10,9 @@ fraction left after splitting the disagreeing measurements apart.
 """
 
 import argparse
+from fractions import Fraction
 
-from contextua._rat import rationals
+from _arguments import rational_list
 from contextua.disturbance import (
     detect_disturbance,
     extend_scenario,
@@ -40,13 +41,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--gaps",
-        type=rationals,
+        type=rational_list(Fraction(0), Fraction(1, 2)),
         default="0,1/8,1/4,3/8,1/2",
         help="planted chain gaps in [0,1/2]",
     )
     parser.add_argument(
         "--nudges",
-        type=rationals,
+        type=rational_list(Fraction(0), Fraction(1)),
         default="0,1/8,1/4,1/2,1",
         help="box corner weights in [0,1]",
     )

@@ -11,7 +11,7 @@ grid and bisection take about 4.5 s in all (Python 3.11, one core).
 import argparse
 from fractions import Fraction
 
-from contextua._rat import rationals
+from _arguments import rational_list
 from contextua.noncontextuality import (
     contextual_fraction,
     minimal_negativity,
@@ -28,7 +28,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--grid",
-        type=rationals,
+        type=rational_list(Fraction(0), Fraction(1)),
         default="0,1/4,1/2,5/8,3/4,1",
         help="comma-separated mixing weights in [0,1]",
     )

@@ -327,13 +327,9 @@ def _cmd_vorobyev(_, args):
 
 def _cmd_interference(m, args):
     table = all_i2(m) if args.order == 2 else all_i3(m)
-
-    def fmt(value):
-        return format_rational(value) if isinstance(value, Fraction) else repr(float(value))
-
-    report = {
+    report = {  # "|" joins the atoms of an event, "," the events of a key
         "order": args.order,
-        "values": {"|".join(key): fmt(value) for key, value in sorted(table.items())},
+        "values": {",".join(key): format_rational(value) for key, value in sorted(table.items())},
     }
     return report, False
 

@@ -5,58 +5,55 @@ decompositions."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._rat import excerpt, format_rational, list_in, rational_in
 from .connection import ConnectionDecomposition, ObjectComplex
+from .linalg import Matrix, transpose
 
-if TYPE_CHECKING:  # numpy is imported by the functions that use it
-    import numpy as np
 Event = frozenset
 
 
 @dataclass(frozen=True)
 class EventMeasure:
-    """A finite event space with masses on the listed events.
+    """A finite event space with exact masses on the listed events.
 
     Events are sets of atoms; the join of disjoint events is their union.
-    Masses are rational for exact inputs or float for quantum-generated
-    ones.  The empty event, when listed, must carry mass 0.
+    Masses are ``int`` or ``Fraction``.  Atom names are non-empty strings
+    without ``|`` or ``,``, which separate atoms in an event key and events
+    in an interference key.  The empty event, when listed, must carry mass 0.
     """
 
     atoms: tuple[str, ...]
-    masses: Mapping[Event, Fraction | float]
+    masses: Mapping[Event, Fraction]
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         table = {frozenset(k): v for k, v in self.masses.items()}
         object.__setattr__(self, "masses", table)
+        for atom in self.atoms:
+            if type(atom) is not str or not atom or "|" in atom or "," in atom:
+                raise ValueError(
+                    f"atom {excerpt(repr(atom))} must be a non-empty string without '|' or ','"
+                )
         known = set(self.atoms)
-        floats = any(isinstance(value, float) for value in table.values())
         for event, value in table.items():
             stray = set(event) - known
             if stray:
                 raise ValueError(f"event uses unlisted atoms {sorted(stray)}")
-            if isinstance(value, float) and not math.isfinite(value):
-                key = _event_key(event)
-                raise ValueError(f"mass of {key!r} is {value}, not finite")
-            if floats and not isinstance(value, float):
-                try:  # the interference terms mix it with the float masses
-                    float(value)
-                except OverflowError:
-                    key = excerpt(_event_key(event))
-                    raise ValueError(
-                        f"mass of {key!r} is beyond float range, and other masses are floats"
-                    ) from None
+            if type(value) not in (int, Fraction):
+                key = excerpt(_event_key(event))
+                raise ValueError(
+                    f"mass of {key!r} is {excerpt(repr(value))}, not an int or Fraction"
+                )
         empty = table.get(frozenset())
         if empty is not None and empty != 0:
             raise ValueError(f"empty event must have mass 0, got {empty}")
 
-    def mass(self, event) -> Fraction | float:
+    def mass(self, event) -> Fraction:
         key = frozenset(event)
         if not key:
             return self.masses.get(key, Fraction(0))
@@ -110,7 +107,7 @@ def i3(m: EventMeasure, a, b, c):
     )
 
 
-def all_i2(m: EventMeasure) -> dict[tuple[str, str], Fraction | float]:
+def all_i2(m: EventMeasure) -> dict[tuple[str, str], Fraction]:
     """Pair interference for every listed disjoint pair with a listed join."""
     out = {}
     events = sorted(m.masses, key=_event_key)
@@ -120,7 +117,7 @@ def all_i2(m: EventMeasure) -> dict[tuple[str, str], Fraction | float]:
     return out
 
 
-def all_i3(m: EventMeasure) -> dict[tuple[str, str, str], Fraction | float]:
+def all_i3(m: EventMeasure) -> dict[tuple[str, str, str], Fraction]:
     out = {}
     events = sorted(m.masses, key=_event_key)
     for a, b, c in combinations(events, 3):
@@ -133,57 +130,78 @@ def all_i3(m: EventMeasure) -> dict[tuple[str, str, str], Fraction | float]:
 
 
 # ---------------------------------------------------------------------------
-# sharp quantum inputs
+# sharp quantum inputs: real symmetric matrices of ints and Fractions
 
-def _check_projector(p: np.ndarray, name: str, tol: float = 1e-9) -> None:
-    import numpy as np
-    if not np.allclose(p, p.conj().T, atol=tol):
-        raise ValueError(f"{name} is not Hermitian")
-    if not np.allclose(p @ p, p, atol=tol):
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    return [[sum(x * y for x, y in zip(row, col)) for col in transpose(b)] for row in a]
+
+
+def _trace(a: Matrix) -> Fraction:
+    return Fraction(sum(row[i] for i, row in enumerate(a)))
+
+
+def _orthogonal(p: Matrix, q: Matrix) -> bool:
+    return not any(any(row) for row in _product(p, q))
+
+
+def _symmetric(matrix: Matrix, name: str, dim: int) -> Matrix:
+    """``matrix`` as lists, checked to be a ``dim`` by ``dim`` symmetric
+    matrix of ints and Fractions."""
+    p = [list(row) for row in matrix]
+    if len(p) != dim or any(
+        len(row) != dim or any(type(x) not in (int, Fraction) for x in row) for row in p
+    ):
+        raise ValueError(f"{name} is not a {dim} by {dim} matrix of ints and Fractions")
+    if p != transpose(p):
+        raise ValueError(f"{name} is not symmetric")
+    return p
+
+
+def _projector(matrix: Matrix, name: str, dim: int) -> Matrix:
+    p = _symmetric(matrix, name, dim)
+    if _product(p, p) != p:
         raise ValueError(f"{name} is not a projector")
+    return p
 
 
-def quantum_i2(rho: np.ndarray, e: np.ndarray, e_prime: np.ndarray) -> float:
+def _state(rho: Matrix, pure: bool) -> Matrix:
+    rho = (_projector if pure else _symmetric)(rho, "state", len(rho))
+    if _trace(rho) != 1:
+        raise ValueError("state must have unit trace")
+    return rho
+
+
+def quantum_i2(rho: Matrix, e: Matrix, e_prime: Matrix) -> Fraction:
     """Symmetrized cross term tr(e rho e') + tr(e' rho e) for a pure state
-    and orthogonal sharp effects.
+    (a symmetric projector of unit trace) and orthogonal sharp effects.
 
     For orthogonal projectors this equals the pair interference of the Born
     measure on {e, e', e join e'} — identically zero, which is the point:
     sharp quantum measures stop deviating from additivity at second order.
     """
-    import numpy as np
-    rho = np.asarray(rho, dtype=complex)
-    e = np.asarray(e, dtype=complex)
-    e_prime = np.asarray(e_prime, dtype=complex)
-    if not np.allclose(rho, rho.conj().T, atol=1e-9):
-        raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho) - 1) > 1e-9:
-        raise ValueError("state must have unit trace")
-    if abs(np.trace(rho @ rho) - 1) > 1e-9:
-        raise ValueError("state must be pure")
-    _check_projector(e, "first effect")
-    _check_projector(e_prime, "second effect")
-    if not np.allclose(e @ e_prime, np.zeros_like(e), atol=1e-9):
+    rho = _state(rho, pure=True)
+    e = _projector(e, "first effect", len(rho))
+    e_prime = _projector(e_prime, "second effect", len(rho))
+    if not _orthogonal(e, e_prime):
         raise ValueError("effects must be orthogonal")
-    cross = np.trace(e @ rho @ e_prime) + np.trace(e_prime @ rho @ e)
-    return float(cross.real)
+    # the two terms are equal: each is the other's transpose's trace
+    return 2 * _trace(_product(_product(e, rho), e_prime))
 
 
-def born_measure(rho: np.ndarray, projectors: Mapping[str, np.ndarray]) -> EventMeasure:
-    """Born masses of all unions of pairwise orthogonal projectors."""
-    import numpy as np
-    rho = np.asarray(rho, dtype=complex)
+def born_measure(rho: Matrix, projectors: Mapping[str, Matrix]) -> EventMeasure:
+    """Born masses tr(P rho) of all unions of pairwise orthogonal projectors."""
+    rho = _state(rho, pure=False)
     names = sorted(projectors)
-    for name in names:
-        _check_projector(np.asarray(projectors[name], dtype=complex), name)
-    table: dict[Event, float] = {}
+    ps = {name: _projector(projectors[name], name, len(rho)) for name in names}
+    for a, b in combinations(names, 2):
+        if not _orthogonal(ps[a], ps[b]):
+            raise ValueError(f"projectors {a!r} and {b!r} overlap")
+    dim = range(len(rho))
+    table: dict[Event, Fraction] = {}
     for r in range(len(names) + 1):
         for combo in combinations(names, r):
-            total = sum(
-                (np.asarray(projectors[n], dtype=complex) for n in combo),
-                np.zeros_like(rho),
-            )
-            table[frozenset(combo)] = float(np.trace(total @ rho).real)
+            join = [[sum(ps[n][i][j] for n in combo) for j in dim] for i in dim]
+            table[frozenset(combo)] = _trace(_product(join, rho))
     return EventMeasure(tuple(names), table)
 
 
@@ -250,11 +268,7 @@ def measure_to_json(m: EventMeasure) -> str:
     payload = {
         "atoms": list(m.atoms),
         "masses": {
-            _event_key(event): (
-                format_rational(value)
-                if isinstance(value, Fraction)
-                else float(value)
-            )
+            _event_key(event): format_rational(value)
             for event, value in sorted(m.masses.items(), key=lambda kv: _event_key(kv[0]))
         },
     }
@@ -263,10 +277,8 @@ def measure_to_json(m: EventMeasure) -> str:
 
 def measure_from_json(text: str) -> EventMeasure:
     payload = json.loads(text)
-    masses = {  # a JSON float is a Born-rule mass and stays a float
-        _parse_event_key(key): (
-            value if type(value) is float else rational_in(value, f"mass of {key!r}")
-        )
+    masses = {
+        _parse_event_key(key): rational_in(value, f"mass of {excerpt(key)!r}")
         for key, value in payload["masses"].items()
     }
     return EventMeasure(tuple(list_in(payload["atoms"], "atoms")), masses)

@@ -451,18 +451,14 @@ def induced_singleton_model(f: GptFragment, state_index: int) -> EmpiricalModel:
 # measures
 
 
-def two_slit_measure(amplitude_a: complex, amplitude_b: complex) -> EventMeasure:
-    """Two-path intensity measure: masses |psi_a|^2, |psi_b|^2, |psi_a+psi_b|^2."""
-    a = complex(amplitude_a)
-    b = complex(amplitude_b)
-    return EventMeasure(
-        atoms=("a", "b"),
-        masses={
-            frozenset("a"): abs(a) ** 2,
-            frozenset("b"): abs(b) ** 2,
-            frozenset("ab"): abs(a + b) ** 2,
-        },
-    )
+def two_slit_measure(phase=0) -> EventMeasure:
+    """Two paths of equal amplitude at relative ``phase``: masses 1/2, 1/2 and
+    |psi_a + psi_b|^2 = 1 + cos(phase), the cosine rationalized once as
+    :func:`chsh_quantum` rationalizes its correlators."""
+    if not math.isfinite(phase):
+        raise ValueError(f"phase {phase} is not finite")
+    half, join = Fraction(1, 2), 1 + rationalize(math.cos(phase))
+    return EventMeasure(("a", "b"), {frozenset("a"): half, frozenset("b"): half, frozenset("ab"): join})
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +737,6 @@ def random_ontic_table(
 # named registry for the command line
 
 
-def _two_slit_cli(phase: float = 0.0) -> EventMeasure:
-    amp = math.sqrt(0.5)
-    return two_slit_measure(amp, amp * complex(math.cos(phase), math.sin(phase)))
-
-
 #: Largest ``n`` the command line builds a simplex for: validation grows as
 #: about n**3, so n = 64 takes about a second and n = 128 about ten.
 CLASSICAL_SIMPLEX_CLI_MAX = 64
@@ -782,5 +773,5 @@ SCENARIOS: dict[str, tuple[str, object]] = {
     "pr-box": ("model", pr_box),
     "chsh-quantum": ("model", _chsh_cli),
     "kcbs-quantum": ("model", kcbs_quantum),
-    "two-slit": ("measure", _two_slit_cli),
+    "two-slit": ("measure", two_slit_measure),
 }

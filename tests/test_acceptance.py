@@ -10,7 +10,6 @@ from fractions import Fraction as F
 from random import Random
 from time import perf_counter
 
-import numpy as np
 import pytest
 
 from contextua import ddg
@@ -75,6 +74,7 @@ from contextua.vorobyev import (
     graham_reduce,
     is_acyclic,
 )
+from test_interference import random_orthogonal_projectors, random_state
 
 
 # -- shared corpora ----------------------------------------------------------
@@ -314,20 +314,13 @@ def test_criterion_06_no_spurious_interference():
             rest = [x for x in atoms if x not in a | b]
             assert i2(m, a | b, set(rest)) == 0
 
-    nrng = np.random.default_rng(61)
+    qrng = Random(61)
     for _ in range(100):
-        dim = int(nrng.integers(3, 6))
-        v = nrng.normal(size=dim) + 1j * nrng.normal(size=dim)
-        v /= np.linalg.norm(v)
-        rho = np.outer(v, v.conj())
-        q, _ = np.linalg.qr(
-            nrng.normal(size=(dim, dim)) + 1j * nrng.normal(size=(dim, dim))
-        )
-        projectors = {
-            name: np.outer(q[:, i], q[:, i].conj()) for i, name in enumerate("abc")
-        }
+        dim = qrng.randint(3, 5)
+        rho = random_state(qrng, dim)
+        projectors = dict(zip("abc", random_orthogonal_projectors(qrng, dim, 3)))
         m = born_measure(rho, projectors)
-        assert abs(i3(m, {"a"}, {"b"}, {"c"})) < 1e-10
+        assert i3(m, {"a"}, {"b"}, {"c"}) == 0
     print("[acceptance] #6 no additive or sharp-triple interference: PASS")
 
 

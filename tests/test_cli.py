@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from contextua import cli
 from contextua.cli import main
 from contextua.core_model import fragment_from_json, model_from_json
+from contextua.interference import additive_measure, all_i3, measure_from_json, measure_to_json
 
 
 def run(capsys, *argv):
@@ -284,10 +286,27 @@ def test_interference_orders(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["order"] == 2
-    assert set(report["values"]) == {"a|b"}
-    assert abs(float(report["values"]["a|b"]) - 1.0) < 1e-9
+    assert report["values"] == {"a,b": "1"}
     report = json.loads(run(capsys, "interference", path, "--order", "3", "--json")[1])
     assert report["values"] == {}
+
+
+def test_the_interference_report_keeps_every_pair_and_triple(capsys, tmp_path):
+    # "|" joins the atoms of an event and "," the events of a key, so the
+    # pairs (a, b|c) and (a|b, c) keep two entries
+    masses = {"a": "1/8", "b": "1/4", "c": "1/8", "a|b": "1/2", "a|c": "1/4",
+              "b|c": "3/8", "a|b|c": 1}
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({"atoms": ["a", "b", "c"], "masses": masses}))
+    report = json.loads(run(capsys, "interference", str(path), "--order", "2", "--json")[1])
+    assert report["values"] == {
+        "a,b": "1/8", "a,c": "0", "b,c": "0", "a,b|c": "1/2", "a|b,c": "3/8", "a|c,b": "1/2",
+    }
+    powerset = measure_to_json(additive_measure(dict.fromkeys("abcd", F(1, 4))))
+    path.write_text(powerset)
+    report = json.loads(run(capsys, "interference", str(path), "--order", "3", "--json")[1])
+    assert len(report["values"]) == len(all_i3(measure_from_json(powerset))) == 10
+    assert set(report["values"].values()) == {"0"}
 
 
 def test_disturbance_subcommand(capsys, tmp_path):
@@ -642,9 +661,9 @@ def test_rational_text_and_json_lists_load(capsys, tmp_path, command, doc):
          'tables["0"] holds true, not a rational'),
         # masses are finite
         ("interference", dict(TWO_ATOMS, masses={"a": math.nan, "b": 0.5, "a|b": 1}),
-         "mass of 'a' is nan, not finite"),
+         "mass of 'a' holds NaN, not a rational"),
         ("interference", dict(TWO_ATOMS, masses={"a": 0.5, "b": math.inf, "a|b": 1}),
-         "mass of 'b' is inf, not finite"),
+         "mass of 'b' holds Infinity, not a rational"),
         # a string where a list belongs is not read character by character
         ("nc-check", dict(CLASSICAL_BIT, states=["10", "01"]),
          "states[0] is not a JSON list"),
@@ -688,7 +707,7 @@ def test_integer_masses_are_exact(capsys, tmp_path):
     for masses in ({"a": 1, "b": 0, "a|b": 1}, {"a": "1", "b": "0", "a|b": "1"}):
         path.write_text(json.dumps({"atoms": ["a", "b"], "masses": masses}))
         code, out, err = run(capsys, "interference", str(path))
-        assert (code, out, err) == (0, "order: 2\nvalues:\n  a|b: 0\n", "")
+        assert (code, out, err) == (0, "order: 2\nvalues:\n  a,b: 0\n", "")
 
 
 @pytest.mark.parametrize(
@@ -721,17 +740,41 @@ def test_an_oversized_value_is_refused_in_one_short_line(
         ("fraction", dict(SPLIT_MODEL, outcomes={"a": "HUGE", "b": 2})),
         ("interference", dict(TWO_ATOMS, masses={"a": "HUGE", "b": 0, "a|b": 1})),
         ("homology", [[0, "HUGE"]]),
-        ("interference", dict(TWO_ATOMS, masses={"a": 0.5, "b": "1e400", "a|b": 1})),
     ],
-    ids=["state", "dimension", "table", "outcome-count", "mass", "vertex", "mixed-masses"],
+    ids=["state", "dimension", "table", "outcome-count", "mass", "vertex"],
 )
 def test_a_number_beyond_float_range_exits_2(capsys, tmp_path, command, doc):
-    # 1e400 loads as a float infinity, which names no rational; as text it is
-    # an exact mass that no float can hold beside the float mass 0.5
+    # 1e400 loads as a float infinity, which names no rational
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and not out and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "masses, order, expected",
+    [
+        ({"a": 0.5, "b": "1e400", "a|b": 1}, "2", {"a,b": F(1, 2) - 10**400}),
+        # masses whose differences leave the float range
+        ({"a": 0.5, "b": 0.5, "c": 0.5, "a|b": "1e308", "a|c": 0.5, "b|c": 0.5,
+          "a|b|c": "-1e308"}, "2",
+         {"a,b": 10**308 - 1, "a,c": F(-1, 2), "b,c": F(-1, 2), "a,b|c": -(10**308) - 1,
+          "a|b,c": -2 * 10**308 - F(1, 2), "a|c,b": -(10**308) - 1}),
+        ({"a": 0.5, "b": 0.5, "c": 0.5, "a|b": "1e308", "a|c": 0.5, "b|c": 0.5,
+          "a|b|c": "-1e308"}, "3", {"a,b,c": -2 * 10**308 + F(1, 2)}),
+    ],
+    ids=["mixed-masses", "order-2-past-float-range", "order-3-past-float-range"],
+)
+def test_exact_masses_beyond_float_range_are_read_exactly(
+    capsys, tmp_path, masses, order, expected
+):
+    # a JSON float mass is the shortest decimal naming it, and every term is exact
+    path = tmp_path / "doc.json"
+    atoms = sorted({atom for key in masses for atom in key.split("|")})
+    path.write_text(json.dumps({"atoms": atoms, "masses": masses}))
+    code, out, err = run(capsys, "interference", str(path), "--order", order, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"] == {k: str(v) for k, v in expected.items()}
 
 
 def test_a_nan_phase_emits_no_two_slit_measure(capsys):

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
+from random import Random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,76 +117,141 @@ def test_input_validation():
         EventMeasure(("a",), {frozenset(): F(1, 3)})
     with pytest.raises(ValueError):
         EventMeasure(("a",), {frozenset("ab"): F(1, 3)})
-    # an exact mass beside float masses must have a float value
-    with pytest.raises(ValueError, match="'b' is beyond float range"):
-        EventMeasure(("a", "b"), {frozenset("a"): 0.5, frozenset("b"): F(10**400)})
-    big = EventMeasure(("a", "b"), {frozenset("a"): F(1), frozenset("b"): F(10**400)})
-    assert big.mass("b") == 10**400  # all exact, so no float is involved
+    # masses are exact: a float is refused naming its event, and an exact
+    # mass beyond float range sits beside any other
+    with pytest.raises(ValueError, match="mass of 'b' is 0.5, not an int or Fraction"):
+        EventMeasure(("a", "b"), {frozenset("a"): F(1), frozenset("b"): 0.5})
+    big = EventMeasure(("a", "b"), {frozenset("a"): F(1, 2), frozenset("b"): F(10**400)})
+    assert big.mass("b") == 10**400
+    # an atom name cannot hold the separators of event and interference keys
+    for name in ("", "a|b", "a,b", 7):
+        with pytest.raises(ValueError, match="must be a non-empty string"):
+            EventMeasure((name,), {})
     assert m.mass(frozenset()) == 0
 
 
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def ray(v):
+    """The projector v v^T / (v . v) onto the line through v."""
+    n = dot(v, v)
+    return [[F(x * y) / n for y in v] for x in v]
+
+
+def gram_schmidt(vectors):
+    """Pairwise orthogonal rational vectors spanning what ``vectors`` span;
+    a vector that depends on the earlier ones is dropped."""
+    basis = []
+    for v in vectors:
+        u = [F(x) for x in v]
+        for b in basis:
+            c = dot(u, b) / dot(b, b)
+            u = [x - c * y for x, y in zip(u, b)]
+        if any(u):
+            basis.append(u)
+    return basis
+
+
 def random_state(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    """The pure state on a seeded integer vector."""
+    v = [0] * dim
+    while not any(v):
+        v = [rng.randint(-3, 3) for _ in range(dim)]
+    return ray(v)
 
 
 def random_orthogonal_projectors(rng, dim, count):
-    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return [np.outer(q[:, i], q[:, i].conj()) for i in range(count)]
+    """``count`` pairwise orthogonal projectors, each the sum of the rays of a
+    run of consecutive vectors of an exact Gram-Schmidt basis."""
+    basis = []
+    while len(basis) < dim:
+        basis = gram_schmidt([[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
+    ends = sorted(rng.sample(range(1, dim + 1), count))
+    projectors = []
+    for start, end in zip([0] + ends, ends):
+        rays = [ray(u) for u in basis[start:end]]
+        projectors.append([[sum(cols) for cols in zip(*rows)] for rows in zip(*rays)])
+    return projectors
 
 
 def test_quantum_pair_interference_vanishes_and_matches_born():
-    rng = np.random.default_rng(7)
+    rng = Random(7)
     for _ in range(25):
-        dim = int(rng.integers(2, 6))
+        dim = rng.randint(2, 5)
         rho = random_state(rng, dim)
         e, ep = random_orthogonal_projectors(rng, dim, 2)
         direct = quantum_i2(rho, e, ep)
         m = born_measure(rho, {"e": e, "f": ep})
-        assert abs(direct - i2(m, {"e"}, {"f"})) < 1e-10
-        assert abs(direct) < 1e-10
+        assert direct == i2(m, {"e"}, {"f"}) == 0
+        assert m.mass({"e", "f"}) <= 1
 
 
 def test_quantum_plus_state_example():
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    rho = np.outer(plus, plus)
-    e = np.diag([1.0, 0.0])
-    ep = np.diag([0.0, 1.0])
+    half = F(1, 2)
+    rho = [[half, half], [half, half]]  # |+><+|
+    e = [[1, 0], [0, 0]]
+    ep = [[0, 0], [0, 1]]
     value = quantum_i2(rho, e, ep)
-    born = 1.0 - 0.5 - 0.5  # join is the identity effect on |+>
-    assert abs(value - born) < 1e-12
+    born = 1 - half - half  # join is the identity effect on |+>
+    assert value == born == 0
+    assert born_measure(rho, {"e": e, "f": ep}).masses == {
+        frozenset(): 0, frozenset("e"): half, frozenset("f"): half, frozenset("ef"): 1
+    }
 
 
 def test_quantum_orthogonal_support_gives_zero():
-    rho = np.diag([1.0, 0.0, 0.0])
-    e = np.diag([0.0, 1.0, 0.0])
-    ep = np.diag([0.0, 0.0, 1.0])
+    rho = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    e = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+    ep = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
     assert quantum_i2(rho, e, ep) == 0
 
 
 def test_quantum_input_validation():
-    rho = np.diag([0.5, 0.5])  # mixed
-    e = np.diag([1.0, 0.0])
-    ep = np.diag([0.0, 1.0])
+    half = F(1, 2)
+    rho = [[half, 0], [0, half]]  # mixed
+    e = [[1, 0], [0, 0]]
+    ep = [[0, 0], [0, 1]]
     with pytest.raises(ValueError):
         quantum_i2(rho, e, ep)
-    pure = np.diag([1.0, 0.0])
-    tilted = np.array([[0.5, 0.5], [0.5, 0.5]])
+    pure = [[1, 0], [0, 0]]
+    tilted = [[half, half], [half, half]]
     with pytest.raises(ValueError):
-        quantum_i2(pure, tilted, np.diag([1.0, 0.0]))  # not orthogonal
+        quantum_i2(pure, tilted, [[1, 0], [0, 0]])  # not orthogonal
     with pytest.raises(ValueError):
-        quantum_i2(pure, np.array([[0.5, 0.0], [0.0, 0.0]]), ep)  # not a projector
+        quantum_i2(pure, [[half, 0], [0, 0]], ep)  # not a projector
+    with pytest.raises(ValueError, match="not symmetric"):
+        quantum_i2(pure, [[1, 1], [0, 0]], ep)
+    with pytest.raises(ValueError, match="ints and Fractions"):
+        quantum_i2(pure, [[1.0, 0], [0, 0]], ep)  # a float entry
+    with pytest.raises(ValueError, match="2 by 2"):
+        quantum_i2(pure, [[1, 0, 0], [0, 0, 0], [0, 0, 0]], ep)
+
+
+def test_a_pure_state_is_a_projector_not_just_a_unit_purity_matrix():
+    # trace 1 and tr rho^2 = 1, yet rho^2 != rho and rho has a negative eigenvalue
+    rho = [[F(2, 3), 0, 0], [0, F(2, 3), 0], [0, 0, F(-1, 3)]]
+    e = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    ep = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+    with pytest.raises(ValueError, match="state is not a projector"):
+        quantum_i2(rho, e, ep)
+
+
+def test_born_measure_refuses_overlapping_projectors():
+    p = [[1, 0], [0, 0]]
+    with pytest.raises(ValueError, match="'a' and 'b' overlap"):
+        born_measure([[1, 0], [0, 0]], {"a": p, "b": p})
 
 
 def test_sharp_triples_have_no_third_order_interference():
-    rng = np.random.default_rng(11)
+    rng = Random(11)
     for _ in range(20):
-        dim = int(rng.integers(3, 6))
+        dim = rng.randint(3, 5)
         rho = random_state(rng, dim)
         pa, pb, pc = random_orthogonal_projectors(rng, dim, 3)
         m = born_measure(rho, {"a": pa, "b": pb, "c": pc})
-        assert abs(i3(m, {"a"}, {"b"}, {"c"})) < 1e-10
+        assert i3(m, {"a"}, {"b"}, {"c"}) == 0
 
 
 def interference_complex():
@@ -284,3 +349,4 @@ def test_enumerations_and_json_roundtrip():
     assert back.atoms == m.atoms
     assert back.masses == m.masses
     assert measure_to_json(back) == text
+

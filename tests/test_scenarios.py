@@ -8,6 +8,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from contextua._rat import rationalize
 from contextua.core_model import (
     DisturbingModelError,
     EmpiricalModel,
@@ -374,14 +375,19 @@ def test_random_complexes_stay_small():
 
 
 def test_two_slit_measure_interference_follows_the_phase():
-    amp = math.sqrt(0.5)
-    bright = two_slit_measure(amp, amp)
-    assert abs(i2(bright, frozenset("a"), frozenset("b")) - 1.0) < 1e-12
-    dark = two_slit_measure(amp, -amp)
-    assert abs(i2(dark, frozenset("a"), frozenset("b")) + 1.0) < 1e-12
+    a, b = frozenset("a"), frozenset("b")
+    bright = two_slit_measure()
+    assert bright.masses == {a: Fraction(1, 2), b: Fraction(1, 2), a | b: 2}
+    assert i2(bright, a, b) == 1
+    dark = two_slit_measure(math.pi)
+    assert i2(dark, a, b) == -1
     phase = 2.0
-    twisted = two_slit_measure(amp, amp * complex(math.cos(phase), math.sin(phase)))
-    assert abs(i2(twisted, frozenset("a"), frozenset("b")) - math.cos(phase)) < 1e-12
+    twisted = i2(two_slit_measure(phase), a, b)
+    assert twisted == rationalize(math.cos(phase))
+    assert abs(twisted - Fraction(math.cos(phase))) < Fraction(1, 10**12)
+    for phase in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            two_slit_measure(phase)
 
 
 def test_registry_entries_build_their_kind():
