@@ -596,11 +596,16 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if "_raw" in report:
-        print(report["_raw"])
+        text = report["_raw"]
     elif args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True)
     else:
-        print("\n".join(_render_human(report)))
+        text = "\n".join(_render_human(report))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left early, as `| head -1` does
+        # so the flush at exit writes nowhere instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.strict and bad:
         return 1
     return 0

@@ -63,7 +63,6 @@ class ConnectionDecomposition:
     potential: ddg.Cochain
     connection: ddg.Cochain
     disturbance: ddg.Cochain | None
-    view: str
 
     @property
     def residual(self) -> ddg.Cochain:
@@ -206,7 +205,6 @@ def valuation_cochain(
 def decompose_cochain(
     complex_: ddg.SimplicialComplex,
     xi: ddg.Cochain,
-    view: str = "geometrical",
     charts: Mapping[int, object] | None = None,
 ) -> ConnectionDecomposition:
     """Least-squares split xi = d(potential) + connection, exact over rationals.
@@ -234,7 +232,7 @@ def decompose_cochain(
     potential = ddg.potential(complex_, xi, kept)
     residual = xi - ddg.coboundary(complex_, potential)
     if charts is None:
-        return ConnectionDecomposition(complex_, potential, residual, None, view)
+        return ConnectionDecomposition(complex_, potential, residual, None)
     inside: dict[Edge, Fraction] = {}
     across: dict[Edge, Fraction] = {}
     for edge, value in residual._data.items():
@@ -244,12 +242,11 @@ def decompose_cochain(
         potential,
         ddg.Cochain._canonical(1, inside),
         ddg.Cochain._canonical(1, across),
-        view,
     )
 
 
 def decompose(oc: ObjectComplex, xi: ddg.Cochain) -> ConnectionDecomposition:
-    return decompose_cochain(oc.complex, xi, oc.view)
+    return decompose_cochain(oc.complex, xi)
 
 
 def curvature(oc: ObjectComplex, dec: ConnectionDecomposition) -> Curvature:
@@ -314,7 +311,7 @@ def monodromy_class(oc: ObjectComplex, dec: ConnectionDecomposition) -> str:
 
 def decomposition_report(oc: ObjectComplex, dec: ConnectionDecomposition) -> dict:
     report = {
-        "view": dec.view,
+        "view": oc.view,
         "potential": dec.potential.payload(),
         "connection": dec.connection.payload(),
         "disturbance": None if dec.disturbance is None else dec.disturbance.payload(),

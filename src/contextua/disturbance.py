@@ -92,7 +92,7 @@ def decompose_with_eta(
     chart boundary stay out of the potential fit and carry their residual
     as the disturbance, so the connection lives inside charts.
     """
-    return decompose_cochain(oc.complex, xi, oc.view, charts)
+    return decompose_cochain(oc.complex, xi, charts)
 
 
 def fractions_with_disturbance(

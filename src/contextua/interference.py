@@ -261,7 +261,11 @@ def _event_key(event: Event) -> str:
 
 
 def _parse_event_key(key: str) -> Event:
-    return frozenset(k for k in key.split("|") if k)
+    """The event of a mass key: ``""``, or non-empty atom names joined by ``|``."""
+    atoms = key.split("|") if key else []
+    if "" in atoms:
+        raise ValueError(f"event key {excerpt(key)!r} has an empty atom name")
+    return frozenset(atoms)
 
 
 def measure_to_json(m: EventMeasure) -> str:
@@ -277,8 +281,10 @@ def measure_to_json(m: EventMeasure) -> str:
 
 def measure_from_json(text: str) -> EventMeasure:
     payload = json.loads(text)
-    masses = {
-        _parse_event_key(key): rational_in(value, f"mass of {excerpt(key)!r}")
-        for key, value in payload["masses"].items()
-    }
+    masses = {}
+    for key, value in payload["masses"].items():
+        event = _parse_event_key(key)
+        if event in masses:
+            raise ValueError(f"event key {excerpt(key)!r} repeats an earlier key's event")
+        masses[event] = rational_in(value, f"mass of {excerpt(key)!r}")
     return EventMeasure(tuple(list_in(payload["atoms"], "atoms")), masses)

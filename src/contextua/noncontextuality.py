@@ -18,17 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
 
 from . import linalg
-from .connection import build_object_complex, decompose, valuation_from_values
+from .connection import build_object_complex, decompose, valuation_cochain
 from .core_model import (
     DisturbingModelError,
     EmpiricalModel,
     GptFragment,
-    OperationalEquivalence,
+    OnticRepresentation,
     assert_nondisturbing,
-    effect_equivalences,
+    equivalences,
     probability,
     restriction,
     state_equivalences,
@@ -62,20 +61,22 @@ class Limits:
 
 @dataclass(frozen=True)
 class ResponsePolytope:
-    """Feasible effect valuations: box, per-measurement normalization,
-    and one equality per effect dependence.
+    """Feasible effect valuations: the box [0, 1] per effect, and one
+    equality per effect dependence with the unit effect valued 1.
 
     ``vertices`` is the irredundant, lexicographically sorted extreme-point
-    list over effect indices.  ``status`` is "empty" when the system is
-    inconsistent.
+    list over effect indices.  ``status`` is "empty" when there is none.
     """
 
-    status: str
     vertices: tuple[tuple[Fraction, ...], ...]
 
     @property
+    def status(self) -> str:
+        return "ok" if self.vertices else "empty"
+
+    @property
     def is_empty(self) -> bool:
-        return self.status == "empty"
+        return not self.vertices
 
 
 def _cut_vertices(dim, extras):
@@ -131,12 +132,15 @@ def _cut_vertices(dim, extras):
 
 
 def response_vertices(
-    f: GptFragment,
-    eqs: Sequence[OperationalEquivalence] | None = None,
-    *,
-    limits: Limits = Limits(),
+    f: GptFragment, *, limits: Limits = Limits()
 ) -> ResponsePolytope:
-    """Exact vertex enumeration of the valuation polytope.
+    """Exact vertex enumeration of the response polytope.
+
+    A response gives each effect a value in [0, 1] and the unit effect the
+    value 1, and satisfies every dependence among them
+    (``core_model.equivalences(f, "effect")``, the unit effect last).  On a
+    validated fragment each measurement's normalization is one of those
+    dependencies.
 
     One reduction of the equality system ``[A | b]`` parametrises its
     solutions by the free coordinates t: x_free = t, and each pivot
@@ -144,44 +148,24 @@ def response_vertices(
     the unit cube the enumeration seeds on, and each pivot row adds the two
     cuts a_p.t <= c_p and -a_p.t <= 1 - c_p.
 
-    Equivalence coefficients may reference index ``len(f.effects)``, which
-    stands for the unit effect and contributes its constant value 1 to the
-    equality's right-hand side.
-
     The enumeration is memoised in-process on the exact equality system,
     for the :data:`POLYTOPE_MEMO_SIZE` most recently used systems; the
-    ``limits`` and the equivalences are checked on every call.
+    ``limits`` are checked on every call.
     """
-    if eqs is None:
-        eqs = effect_equivalences(f, include_unit=True)
     n = len(f.effects)
     if n > limits.effects:
         raise ScaleCapError(f"scale cap: {n} effects exceeds {limits.effects}")
+    eqs = equivalences(f, "effect")
     if len(eqs) > limits.equivalences:
         raise ScaleCapError(
             f"scale cap: {len(eqs)} equivalences exceeds {limits.equivalences}"
         )
-
-    equalities: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for meas in f.measurements:
-        row = [_ZERO] * n
-        for r in meas:
-            row[r] += _ONE
-        equalities.append((tuple(row), _ONE))
-    for eq in eqs:
-        if eq.kind != "effect":
-            raise ValueError(f"expected effect equivalences, got {eq.kind!r}")
-        row = [_ZERO] * n
-        rhs = _ZERO
-        for r, c in eq.coefficients.items():
-            if r == n:
-                rhs -= c
-            elif 0 <= r < n:
-                row[r] += c
-            else:
-                raise ValueError(f"equivalence references missing effect {r}")
-        equalities.append((tuple(row), rhs))
-    return _polytope(tuple(equalities), n)
+    # the unit effect, object n, is valued 1: its term moves to the right
+    equalities = tuple(
+        (tuple(c.get(r, _ZERO) for r in range(n)), -c.get(n, _ZERO))
+        for c in (eq.coefficients for eq in eqs)
+    )
+    return _polytope(equalities, n)
 
 
 #: How many equality systems keep their response polytope memoised.  A noise
@@ -200,7 +184,7 @@ def _polytope(
     share."""
     reduced, pivots = linalg.rref([[*row, rhs] for row, rhs in equalities])
     if pivots and pivots[-1] == n:  # a row 0 = 1: no solution at all
-        return ResponsePolytope("empty", ())
+        return ResponsePolytope(())
     free = [j for j in range(n) if j not in pivots]
     rows = [([row[j] for j in free], row[n]) for row in reduced[: len(pivots)]]
     extras = []
@@ -213,9 +197,7 @@ def _polytope(
         for p, (a, c) in zip(pivots, rows):
             x[p] = c - sum(ak * tk for ak, tk in zip(a, t))
         found.add(tuple(x[r] for r in range(n)))
-    vertices = sorted(found)
-    status = "ok" if vertices else "empty"
-    return ResponsePolytope(status, tuple(vertices))
+    return ResponsePolytope(tuple(sorted(found)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +397,16 @@ def fraction_via_connection(
     """
     if solution.status != "optimal":
         raise ValueError("bridge needs a feasible embedding witness")
-    eqs_effects = effect_equivalences(f, include_unit=True)
-    polytope = response_vertices(f, eqs_effects)
-    oc = build_object_complex("effect", f, eqs_effects, view="topological")
+    vertices = response_vertices(f).vertices
+    oc = build_object_complex("effect", f, equivalences(f, "effect"), "topological")
+    # each vertex is one ontic value: effect r responds vertex[r] there
+    rep = OnticRepresentation(len(vertices), (), tuple(zip(*vertices)))
     total = _ZERO
-    for lam, vertex in enumerate(polytope.vertices):
+    for lam in range(len(vertices)):
         weight = solution.assignment.get(f"mu_{lam}_{state_index}", _ZERO)
         if weight == 0:
             continue
-        xi = valuation_from_values(oc, list(vertex) + [_ONE])
+        xi = valuation_cochain(oc, rep, lam)
         dec = decompose(oc, xi)
         for r in f.measurements[measurement_index]:
             spoke = oc.star_edge(r)

@@ -336,6 +336,8 @@ def planted_gap_model(gap: Fraction) -> EmpiricalModel:
     The (a, b) table is uniform; the (b, c) table gives b = 0 the weight
     1/2 - gap, so the model disturbs for every gap in (0, 1/2].
     """
+    if not 0 <= gap <= Fraction(1, 2):
+        raise ValueError(f"gap must lie in [0, 1/2], got {gap}")
     h = CompatibilityHypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
     q = Fraction(1, 2) - gap
     uniform = (Fraction(1, 4),) * 4
@@ -346,6 +348,8 @@ def planted_gap_model(gap: Fraction) -> EmpiricalModel:
 def nudged_box(g: Fraction) -> EmpiricalModel:
     """:func:`pr_box` with context (a1, b1) pulled toward the corner
     (1, 0, 0, 0) by weight ``g``; it disturbs for every g in (0, 1]."""
+    if not 0 <= g <= 1:
+        raise ValueError(f"weight must lie in [0, 1], got {g}")
     box = pr_box()
     corner = (_ONE, _ZERO, _ZERO, _ZERO)
     tables = list(box.tables)

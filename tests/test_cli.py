@@ -683,6 +683,11 @@ def test_rational_text_and_json_lists_load(capsys, tmp_path, command, doc):
          "mass of 'a' holds [1], not a rational"),
         ("nc-check", dict(CLASSICAL_BIT, effects=[[math.inf, 0], [0, 1]]),
          "effects[0] holds Infinity, not a rational"),
+        # one key per event, and no empty atom name, so no mass is dropped
+        ("interference", dict(TWO_ATOMS, masses={"a": 0, "b": 0, "a|b": 1, "b|a": 5}),
+         "event key 'b|a' repeats an earlier key's event"),
+        ("interference", dict(TWO_ATOMS, masses={"a": 0, "b": 0, "a|b": 1, "a||b": 7}),
+         "event key 'a||b' has an empty atom name"),
     ],
 )
 def test_malformed_entries_exit_2_naming_the_field(
@@ -700,6 +705,21 @@ def test_json_float_literals_read_as_the_shortest_decimal_naming_the_double(caps
     path.write_text(json.dumps(dict(CLASSICAL_BIT, states=[[0.1, 0.9], [0, 1]])))
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out.splitlines()[0], err) == (0, "ok: True", "")
+
+
+def test_a_closed_stdout_ends_quietly(tmp_path):
+    """A reader that leaves early, as ``| head -1`` does, is no error."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "contextua.cli", "scenarios", "emit", "gbit"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_integer_masses_are_exact(capsys, tmp_path):

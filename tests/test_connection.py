@@ -347,14 +347,13 @@ def test_monodromy_matches_phases_and_global_sections(setup):
 def test_monodromy_class_invariant_under_exact_shifts():
     k = hollow_triangle()
     xi = ddg.Cochain(1, {(0, 1): F(1)})
-    dec = decompose_cochain(k, xi, view="topological")
+    dec = decompose_cochain(k, xi)
     shift = ddg.coboundary(k, ddg.Cochain(0, {(1,): F(2, 3)}))
     shifted = ConnectionDecomposition(
         complex=k,
         potential=dec.potential,
         connection=dec.connection + shift,
         disturbance=None,
-        view="topological",
     )
     gamma = ddg.Chain(1, {(0, 1): F(1), (1, 2): F(1), (0, 2): F(-1)})
     assert phase(dec, gamma) == phase(shifted, gamma)

@@ -27,6 +27,7 @@ from contextua.interference import (
     quantum_i2,
     reconstructed_measure,
 )
+from contextua.scenarios import SCENARIOS
 
 rationals = st.fractions(min_value=-2, max_value=2, max_denominator=12)
 atom_mass_maps = st.dictionaries(
@@ -275,7 +276,6 @@ def test_single_lambda_toy_value():
         potential=ddg.Cochain(0),
         connection=omega,
         disturbance=None,
-        view="geometrical",
     )
     assert i2_from_connection(oc, [dec], [F(1)], 0, 1, 2) == F(1, 8)
 
@@ -295,7 +295,6 @@ def test_bridge_matches_direct_interference_and_ignores_gauge(values):
         potential=ddg.Cochain(0),
         connection=xi,
         disturbance=None,
-        view=oc.view,
     )
     assert i2_from_connection(oc, [raw], [F(1)], 0, 1, 2) == bridged
     # and it agrees with i2 on the reconstructed measure
@@ -344,9 +343,12 @@ def test_enumerations_and_json_roundtrip():
     base = additive_measure({"a": F(1, 8), "b": F(1, 4), "c": F(1, 8)})
     assert set(all_i3(base)) == {("a", "b", "c")}
     assert all(v == 0 for v in all_i2(base).values())
-    text = measure_to_json(m)
-    back = measure_from_json(text)
-    assert back.atoms == m.atoms
-    assert back.masses == m.masses
-    assert measure_to_json(back) == text
+    # every built-in measure and an additive one, whose empty event has key ""
+    built_in = [make() for kind, make in SCENARIOS.values() if kind == "measure"]
+    for measure in (m, base, *built_in):
+        text = measure_to_json(measure)
+        back = measure_from_json(text)
+        assert back.atoms == measure.atoms
+        assert back.masses == measure.masses
+        assert measure_to_json(back) == text
 

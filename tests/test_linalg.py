@@ -273,3 +273,14 @@ def test_smith_normal_form_known_torsion_case():
     # boundary-like matrix with a factor of 2
     m = [[2, 4], [6, 8]]
     assert linalg.smith_normal_form(m) == [2, 4]
+
+
+@pytest.mark.parametrize(
+    "m, factors", [([[2, 0], [0, 3]], [1, 6]), ([[4, 0], [0, 6]], [2, 12])]
+)
+def test_smith_normal_form_restores_divisibility(m, factors):
+    """A diagonal input whose pivot does not divide the next entry takes the
+    row-addition repair."""
+    assert linalg.smith_normal_form(m) == factors
+    sm = sympy_snf(sympy.Matrix(m))
+    assert [abs(sm[i, i]) for i in range(2)] == factors

@@ -31,6 +31,7 @@ from contextua.noncontextuality import (
     response_vertices,
 )
 from contextua.scenarios import (
+    SCENARIOS,
     chsh_quantum,
     classical_simplex,
     gbit,
@@ -99,13 +100,17 @@ def test_two_uncoupled_measurements_give_four_deterministic_vertices():
 
 
 def _constraint_rows(f, eqs):
+    """Reference equality system, built independently of
+    ``response_vertices``: one normalization row per measurement, then one
+    row per dependence with the unit effect's term (index n) moved to the
+    right-hand side.  In the ``_polytope`` key format."""
     n = len(f.effects)
     equalities = []
     for meas in f.measurements:
         row = [Fraction(0)] * n
         for r in meas:
             row[r] += 1
-        equalities.append((row, Fraction(1)))
+        equalities.append((tuple(row), Fraction(1)))
     for eq in eqs:
         row = [Fraction(0)] * n
         rhs = Fraction(0)
@@ -114,8 +119,14 @@ def _constraint_rows(f, eqs):
                 rhs -= c
             else:
                 row[r] += c
-        equalities.append((row, rhs))
-    return equalities
+        equalities.append((tuple(row), rhs))
+    return tuple(equalities)
+
+
+def _reference_polytope(f, eqs=None):
+    if eqs is None:
+        eqs = effect_equivalences(f, include_unit=True)
+    return noncontextuality._polytope(_constraint_rows(f, eqs), len(f.effects))
 
 
 def _brute_force_vertices(f, eqs):
@@ -156,7 +167,7 @@ def _brute_force_vertices(f, eqs):
 )
 def test_vertices_match_brute_force_enumeration(fragment):
     eqs = effect_equivalences(fragment, include_unit=True)
-    polytope = response_vertices(fragment, eqs)
+    polytope = response_vertices(fragment)
     assert set(polytope.vertices) == _brute_force_vertices(fragment, eqs)
     for vertex in polytope.vertices:
         assert all(0 <= x <= 1 for x in vertex)
@@ -189,11 +200,11 @@ def test_empty_verdicts_cover_both_failure_modes():
         OperationalEquivalence("effect", {0: Fraction(1)}),
         OperationalEquivalence("effect", {0: Fraction(1), unit: Fraction(1)}),
     ]
-    polytope = response_vertices(f, clash)
+    polytope = _reference_polytope(f, clash)
     assert polytope.is_empty and polytope.vertices == ()
 
     outside = [OperationalEquivalence("effect", {0: Fraction(1), unit: Fraction(-2)})]
-    polytope = response_vertices(f, outside)
+    polytope = _reference_polytope(f, outside)
     assert polytope.is_empty  # equalities consistent, box unreachable
 
     # nullity 0: e0 = 1 and e2 = 1/2 leave exactly one point, inside the box
@@ -201,7 +212,7 @@ def test_empty_verdicts_cover_both_failure_modes():
         OperationalEquivalence("effect", {0: Fraction(1), unit: Fraction(-1)}),
         OperationalEquivalence("effect", {2: Fraction(1), unit: Fraction(-1, 2)}),
     ]
-    polytope = response_vertices(f, pinned)
+    polytope = _reference_polytope(f, pinned)
     half = Fraction(1, 2)
     assert polytope.status == "ok"
     assert polytope.vertices == ((Fraction(1), Fraction(0), half, half),)
@@ -291,13 +302,11 @@ def test_scale_caps_raise_early():
     wide = classical_simplex(21)
     with pytest.raises(ScaleCapError):
         response_vertices(wide)
-    f = halving_fragment()
-    many = [
-        OperationalEquivalence("effect", {0: Fraction(1), 2: Fraction(-2)})
-        for _ in range(13)
-    ]
-    with pytest.raises(ScaleCapError):
-        response_vertices(f, many)
+    # 8 axes give 16 effects, which with the unit span 4 dimensions
+    many = qubit_fragment(axes=[_direction([1, k, k * k]) for k in range(8)])
+    assert len(effect_equivalences(many, include_unit=True)) == 13
+    with pytest.raises(ScaleCapError, match="13 equivalences"):
+        response_vertices(many)
 
 
 def test_a_noise_sweep_enumerates_its_polytope_once(monkeypatch):
@@ -320,9 +329,40 @@ def test_a_noise_sweep_enumerates_its_polytope_once(monkeypatch):
 
 def test_the_memo_keys_on_the_equivalences():
     f = halving_fragment()
-    assert len(response_vertices(f).vertices) == 2
-    assert len(response_vertices(f, []).vertices) == 4
-    assert len(response_vertices(f).vertices) == 2
+    assert len(_reference_polytope(f).vertices) == 2
+    assert len(_reference_polytope(f, []).vertices) == 4
+    assert len(_reference_polytope(f).vertices) == 2
+
+
+def _direction(v):
+    norm = math.sqrt(sum(x * x for x in v))
+    return [x / norm for x in v]
+
+
+def _seeded_qubit_fragments(pairs, axes, count):
+    rng = Random(10 * pairs + axes)
+    fragments = []
+    for _ in range(count):
+        points = []
+        for _ in range(pairs):
+            u = _direction([rng.gauss(0, 1) for _ in range(3)])
+            points += [u, [-x for x in u]]
+        directions = [
+            _direction([rng.gauss(0, 1) for _ in range(3)]) for _ in range(axes)
+        ]
+        fragments.append(qubit_fragment(points, directions))
+    return fragments
+
+
+def test_measurement_rows_add_nothing_to_the_dependencies():
+    """On a valid fragment each measurement row restates the dependence
+    sum of its effects minus the unit, so leaving the rows out of the
+    system changes no vertex."""
+    fragments = [random_fragment(Random(k)) for k in range(300)]
+    fragments += [make() for kind, make in SCENARIOS.values() if kind == "fragment"]
+    fragments += _seeded_qubit_fragments(2, 3, 3) + _seeded_qubit_fragments(2, 4, 3)
+    for f in fragments:
+        assert response_vertices(f) == _reference_polytope(f)
 
 
 @pytest.mark.parametrize("k", range(0, 40, 3))

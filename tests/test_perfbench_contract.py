@@ -1,5 +1,6 @@
 """The benchmark's contract with the package: every perfbench workload runs
-one of its inputs under the tracer and passes its own oracle.
+one of its inputs under the tracer, and every input untraced, and each
+passes its own oracle.
 
 A renamed trace point makes ``Recorder.install`` fail, and a changed result
 layout makes the oracle report a problem, here rather than in a benchmark
@@ -44,3 +45,12 @@ def test_one_input_of_each_workload_passes_its_oracle(bench, workload):
     assert {name for name, *_ in recorder.spans} <= set(tracing.SPAN_NAMES)
     reference = oracles.references(workload)
     assert oracles.CHECKS[workload](case, output, reference(case)) == []
+
+
+@pytest.mark.parametrize("workload", ["embedding", "shared-effects", "tables", "geometry"])
+def test_every_input_of_each_workload_passes_its_oracle(bench, workload):
+    oracles, _, workloads = bench
+    reference = oracles.references(workload)
+    for case in workloads.INPUTS[workload](1):
+        output = workloads.ANALYSES[workload](case)
+        assert oracles.CHECKS[workload](case, output, reference(case)) == [], case.label

@@ -32,6 +32,8 @@ from contextua.scenarios import (
     kcbs_quantum,
     kcbs_value,
     noisy_pr_fragment,
+    nudged_box,
+    planted_gap_model,
     pr_box,
     pr_box_fragment,
     product_model,
@@ -176,6 +178,21 @@ def test_noisy_pr_interpolates_between_box_and_noise():
         )
         model = two_party_model_from_fragment(noisy_pr_fragment(w))
         assert model == EmpiricalModel(box.hypergraph, box.outcomes, blended)
+
+
+def test_disturbance_families_refuse_parameters_outside_their_range():
+    """A negative gap would plant the gap's magnitude, and a value past the
+    top of either range a negative table entry."""
+    for gap in (Fraction(-1, 4), Fraction(3, 4)):
+        with pytest.raises(ValueError, match=r"gap must lie in \[0, 1/2\]"):
+            planted_gap_model(gap)
+    for g in (Fraction(-1, 8), Fraction(9, 8)):
+        with pytest.raises(ValueError, match=r"weight must lie in \[0, 1\]"):
+            nudged_box(g)
+    for edge in (Fraction(0), Fraction(1, 2)):
+        assert planted_gap_model(edge).tables[1][0] == (Fraction(1, 2) - edge) / 2
+    for edge in (Fraction(0), Fraction(1)):
+        assert nudged_box(edge).tables[3][0] == edge
 
 
 def test_noisy_pr_keeps_exact_weights_and_snaps_floats():
