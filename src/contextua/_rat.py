@@ -2,7 +2,7 @@
 
 Every rational in the package is a :class:`fractions.Fraction`.  These
 helpers sit at the boundary: parsing and printing rational text, reading
-the numbers and lists of a JSON input file, quoting a refused value, and
+a JSON input file and its numbers and lists, quoting a refused value, and
 snapping floats from numeric scenario generation to bounded-denominator
 rationals.
 """
@@ -75,6 +75,21 @@ def rationals(text: str) -> list[Fraction]:
     """The comma-separated rationals in ``text``, each read by
     :func:`parse_rational`; blank entries are skipped."""
     return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"a JSON object repeats the key {excerpt(key)!r}")
+        doc[key] = value
+    return doc
+
+
+def json_in(text: str):
+    """The JSON document in ``text``.  An object that names one key twice
+    is refused, quoting the key, where ``json.loads`` keeps its last value."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def rational_in(x, what: str) -> Fraction:

@@ -19,7 +19,7 @@ from multiprocessing import Pool
 from random import Random
 
 from . import ddg
-from ._rat import excerpt, format_rational, list_in, parse_rational, rationals
+from ._rat import excerpt, format_rational, json_in, list_in, parse_rational, rationals
 from .connection import (
     build_object_complex,
     curvature,
@@ -89,7 +89,7 @@ def _load(parser_fn, path: str, what: str):
 
 def _parse_hypergraph(text: str) -> CompatibilityHypergraph:
     """A bare hypergraph document, or the hypergraph of a model file."""
-    doc = json.loads(text)
+    doc = json_in(text)
     if isinstance(doc, dict) and "hypergraph" in doc:
         return model_from_json(text).hypergraph
     return CompatibilityHypergraph(
@@ -114,7 +114,7 @@ def _parse_complex(text: str) -> ddg.SimplicialComplex:
     when its face closure could exceed :data:`COMPLEX_CLI_MAX_FACES` (the
     library takes any).  Errors name a simplex by its position, never by its
     ids, which may be arbitrarily long."""
-    doc = json.loads(text)
+    doc = json_in(text)
     if type(doc) is not list:
         raise ValueError("a complex is a list of simplices")
     faces = 0

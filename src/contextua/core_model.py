@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from ._rat import format_rational, int_in, list_in, rational_in
+from ._rat import format_rational, int_in, json_in, list_in, rational_in
 from .vorobyev import CompatibilityHypergraph
 
 Vec = tuple[Fraction, ...]
@@ -34,9 +35,13 @@ def _mat(rows: Iterable[Iterable]) -> Mat:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """Exact a . b of int or Fraction entries: the products of each vector's
+    ints over the lcm of its denominators, summed, make one Fraction."""
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    ints_a, den_a = linalg.over_lcm(a)
+    ints_b, den_b = linalg.over_lcm(b)
+    return Fraction(sum(map(mul, ints_a, ints_b)), den_a * den_b)
 
 
 def apply_matrix(m: Mat, v: Sequence[Fraction]) -> Vec:
@@ -603,7 +608,7 @@ def _rationals_in(x, what: str) -> Vec:
 
 
 def fragment_from_json(text: str) -> GptFragment:
-    payload = json.loads(text)
+    payload = json_in(text)
 
     def rows(field: str) -> tuple[Vec, ...]:
         return tuple(
@@ -647,7 +652,7 @@ def model_to_json(m: EmpiricalModel) -> str:
 
 
 def model_from_json(text: str) -> EmpiricalModel:
-    payload = json.loads(text)
+    payload = json_in(text)
     contexts = tuple(
         tuple(list_in(c, f"hypergraph[{i}]"))
         for i, c in enumerate(list_in(payload["hypergraph"], "hypergraph"))

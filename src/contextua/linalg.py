@@ -9,6 +9,8 @@ Python ints, each over its own positive denominator, so a row stands for
 entry in the pivot column is 0 keeps its value, so it is left alone: sparse
 rows, such as those of a boundary matrix, stay cheap.  :func:`inverse` runs
 on the same step and answers as ints over one denominator.
+:func:`independent_rows` works on sparse rows instead, touching only their
+nonzeros, and picks the rows the simplex keeps.
 
 Nothing here is approximate: every pivot, rank and nullspace vector is exact.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -199,6 +201,53 @@ def inverse(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]
     ints = [[x * (den // d) for x in row[n:]] for row, d in zip(rows, dens)]
     g = gcd(den, *(x for row in ints for x in row))
     return [[x // g for x in row] for row in ints], den // g
+
+
+def independent_rows(rows: Sequence[Mapping[int, Fraction]]) -> list[int]:
+    """Positions of a maximal independent set of sparse rows, in increasing
+    order, chosen greedily from the last row to the first: a row is kept
+    when it is not in the span of the rows kept after it.
+
+    Each row maps a column to its entry; zero entries are ignored.  The
+    elimination is fraction free and reads only nonzeros.  Every kept row,
+    as coprime ints, is stored under its least column; a new row is reduced
+    at its least column by the row stored there until no row is stored
+    there (it is kept) or nothing is left (it is in the span).  Any nonzero
+    combination of stored rows leads at one of their distinct least
+    columns, so a row leading elsewhere is independent of them.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    kept = []
+    for position in range(len(rows) - 1, -1, -1):
+        den = lcm(*(x.denominator for x in rows[position].values()))
+        row = {
+            j: x.numerator * (den // x.denominator)
+            for j, x in rows[position].items()
+            if x
+        }
+        while row:
+            lead = min(row)
+            stored = echelon.get(lead)
+            if stored is None:
+                g = gcd(*row.values())
+                echelon[lead] = {j: x // g for j, x in row.items()}
+                kept.append(position)
+                break
+            g = gcd(row[lead], stored[lead])
+            q, f = stored[lead] // g, row[lead] // g
+            if q != 1:
+                row = {j: x * q for j, x in row.items()}
+            for j, y in stored.items():
+                x = row.get(j, 0) - f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+    kept.reverse()
+    return kept
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:

@@ -18,8 +18,23 @@ in the standard form read in and in the numbers handed out.
 
 Constraints are kept sparse, as nonzero coefficients by column, and
 ``_standard_form`` adds the slacks and the sign fix to them once; ``solve``
-places each row's ints in the tableau and its values in the stored dense
-form.  One pricing step, cost - sum c_B * row, sets both phase objectives.
+places every row's values in the stored dense form and the kept rows' ints
+in the tableau.  One pricing step, cost - sum c_B * row, sets both phase
+objectives.
+
+A presolve keeps the tableau to independent rows (Andersen & Andersen,
+"Presolving in linear programming", Math. Programming 71, 1995).  A row
+with its own slack column is independent of every other row and always
+kept.  The equality rows are scanned from the last to the first, and one
+is kept when the ``[A | b]`` rows kept so far do not span it
+(:func:`contextua.linalg.independent_rows`).  The kept rows enter the
+tableau in their original order, each with its own artificial.  A dropped
+row is a combination of kept rows, right-hand side included, so the kept
+rows have the same feasible set: the status and the objective are those of
+every row.  A Farkas certificate over the kept rows gets multiplier 0 on
+each dropped row and so replays against the whole stored form, which keeps
+every row in its place.  On a feasible phase 1 the kept rows have full row
+rank, so every artificial still basic pivots out on a real column.
 
 A pivot is :func:`contextua.linalg.pivot`, the package's one elimination
 step, plus the basis update.  The tableau rows are built afresh and then
@@ -34,7 +49,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .linalg import lowest_terms, over_lcm, pivot
+from .linalg import independent_rows, lowest_terms, over_lcm, pivot
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -138,23 +153,37 @@ class LinearProgram:
 
     def solve(self) -> LpSolution:
         rows, rhs, width = self._standard_form()
-        m = len(rows)
-
-        # tableau: m constraint rows + objective row, each as ints over its
-        # own denominator; columns = width originals + m artificials + rhs.
-        # The stored dense form has the same columns up to the artificials.
-        tableau, dens, eq_matrix = [], [], []
-        for i, (row, b) in enumerate(zip(rows, rhs)):
-            ints, den = over_lcm([*row.values(), b])
-            dense, placed = [_ZERO] * width, [0] * (width + m) + ints[-1:]
-            for (j, x), y in zip(row.items(), ints):
-                dense[j], placed[j] = x, y
-            placed[width + i] = den
+        eq_matrix = []
+        for row in rows:
+            dense = [_ZERO] * width
+            for j, x in row.items():
+                dense[j] = x
             eq_matrix.append(tuple(dense))
+        stored = dict(eq_matrix=tuple(eq_matrix), eq_rhs=tuple(rhs))
+
+        # presolve: a row with its own slack column is independent of the
+        # rest; an equality row is kept unless [A | b] rows kept after it
+        # span it
+        equalities = [i for i, op in enumerate(self._ops) if op == "="]
+        independent = independent_rows([{**rows[i], width: rhs[i]} for i in equalities])
+        kept = sorted(
+            {i for i, op in enumerate(self._ops) if op != "="}
+            | {equalities[p] for p in independent}
+        )
+        m = len(kept)
+
+        # tableau: m kept rows + objective row, each as ints over its own
+        # denominator; columns = width originals + m artificials + rhs
+        tableau, dens = [], []
+        for k, i in enumerate(kept):
+            ints, den = over_lcm([*rows[i].values(), rhs[i]])
+            placed = [0] * (width + m) + ints[-1:]
+            for j, y in zip(rows[i], ints):
+                placed[j] = y
+            placed[width + k] = den
             tableau.append(placed)
             dens.append(den)
-        stored = dict(eq_matrix=tuple(eq_matrix), eq_rhs=tuple(rhs))
-        basis = [width + i for i in range(m)]
+        basis = [width + k for k in range(m)]
 
         # phase 1: minimize the artificial total; each artificial column
         # prices to 1 - 1 = 0
@@ -164,35 +193,29 @@ class LinearProgram:
 
         obj, obj_den = tableau[m], dens[m]
         if obj[-1] < 0:
-            cert = tuple(
-                Fraction(obj[width + i] - obj_den, obj_den) for i in range(m)
-            )
-            solution = LpSolution("infeasible", None, certificate=cert, **stored)
+            cert = [_ZERO] * len(rows)
+            for k, i in enumerate(kept):
+                cert[i] = Fraction(obj[width + k] - obj_den, obj_den)
+            solution = LpSolution("infeasible", None, certificate=tuple(cert), **stored)
             if not solution.certificate_checks():
                 raise AssertionError("Farkas certificate failed self-check")
             return solution
 
-        # pivot artificials out of the basis; rows with no real pivot are
-        # redundant and get dropped
-        drop = []
+        # pivot artificials out of the basis: the kept rows of a feasible
+        # program have full row rank, so each such row has a real nonzero
         for i in range(m):
             if basis[i] < width:
                 continue
-            row = tableau[i]
-            for j in range(width):
-                if row[j] != 0:
-                    self._pivot(tableau, dens, basis, i, j)
-                    break
-            else:
-                drop.append(i)
-        keep = [i for i in range(m) if i not in drop]
+            j = next((j for j in range(width) if tableau[i][j]), None)
+            if j is None:
+                raise AssertionError("a kept row is implied by the others")
+            self._pivot(tableau, dens, basis, i, j)
         truncated = [
-            lowest_terms(tableau[i][:width] + [tableau[i][-1]], dens[i]) for i in keep
+            lowest_terms(row[:width] + [row[-1]], den)
+            for row, den in zip(tableau[:m], dens)
         ]
         tableau = [ints for ints, _ in truncated]
         dens = [den for _, den in truncated]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
 
         # phase 2: the program's objective, internally minimized
         sign = -_ONE if self.sense == "max" else _ONE

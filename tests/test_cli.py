@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from contextua import cli
 from contextua.cli import main
-from contextua.core_model import fragment_from_json, model_from_json
+from contextua.core_model import fragment_from_json, model_from_json, model_to_json
 from contextua.interference import additive_measure, all_i3, measure_from_json, measure_to_json
+from contextua.scenarios import nudged_box, planted_gap_model
 
 
 def run(capsys, *argv):
@@ -339,6 +340,91 @@ def test_disturbance_subcommand(capsys, tmp_path):
     clean = emit(capsys, tmp_path, "pr-box")
     code, out, _ = run(capsys, "disturbance", clean, "--json", "--strict")
     assert code == 0 and json.loads(out)["disturbing"] is False
+
+
+# `disturbance --fractions` prints the ncf/cf split of whichever optimum the
+# simplex reaches, and that optimum need not be unique; these literals pin
+# the split on both disturbing scenario families, at every g/16.
+NUDGED_BOX_SPLITS = {  # weight: (ncf, cf, df)
+    "0": ("0", "1", "0"),
+    "1/16": ("1/32", "15/16", "1/32"),
+    "1/8": ("1/16", "7/8", "1/16"),
+    "3/16": ("3/32", "13/16", "3/32"),
+    "1/4": ("1/8", "3/4", "1/8"),
+    "5/16": ("5/32", "11/16", "5/32"),
+    "3/8": ("3/16", "5/8", "3/16"),
+    "7/16": ("7/32", "9/16", "7/32"),
+    "1/2": ("1/4", "1/2", "1/4"),
+    "9/16": ("9/32", "7/16", "9/32"),
+    "5/8": ("5/16", "3/8", "5/16"),
+    "11/16": ("11/32", "5/16", "11/32"),
+    "3/4": ("3/8", "1/4", "3/8"),
+    "13/16": ("13/32", "3/16", "13/32"),
+    "7/8": ("7/16", "1/8", "7/16"),
+    "15/16": ("15/32", "1/16", "15/32"),
+    "1": ("1/2", "0", "1/2"),
+}
+PLANTED_GAP_SPLITS = {  # gap: (ncf, cf, df)
+    "0": ("1", "0", "0"),
+    "1/16": ("15/16", "0", "1/16"),
+    "1/8": ("7/8", "0", "1/8"),
+    "3/16": ("13/16", "0", "3/16"),
+    "1/4": ("3/4", "0", "1/4"),
+    "5/16": ("11/16", "0", "5/16"),
+    "3/8": ("5/8", "0", "3/8"),
+    "7/16": ("9/16", "0", "7/16"),
+    "1/2": ("1/2", "0", "1/2"),
+}
+NUDGED_BOX_QUARTER = """disturbing: True
+findings:
+  -
+    contexts: [["a0", "b1"], ["a1", "b1"]]
+    intersection: ["b1"]
+    gap: 1/8
+  -
+    contexts: [["a1", "b0"], ["a1", "b1"]]
+    intersection: ["a1"]
+    gap: 1/8
+fractions:
+  ncf: 1/8
+  cf: 3/4
+  df: 1/8
+"""
+PLANTED_GAP_QUARTER = """disturbing: True
+findings:
+  -
+    contexts: [["a", "b"], ["b", "c"]]
+    intersection: ["b"]
+    gap: 1/4
+fractions:
+  ncf: 3/4
+  cf: 0
+  df: 1/4
+"""
+DISTURBANCE_GAP_SWEEP = "family: disturbance-gap\nrows:\n" + "".join(
+    f"  -\n    param: {g}\n    ncf: {ncf}\n    cf: 0\n    df: {g}\n    negativity: \n"
+    for g, ncf in (("0", "1"), ("1/8", "7/8"), ("1/4", "3/4"), ("3/8", "5/8"), ("1/2", "1/2"))
+)
+
+
+@pytest.mark.parametrize(
+    "family, splits, whole",
+    [
+        (nudged_box, NUDGED_BOX_SPLITS, NUDGED_BOX_QUARTER),
+        (planted_gap_model, PLANTED_GAP_SPLITS, PLANTED_GAP_QUARTER),
+    ],
+    ids=["nudged-box", "planted-gap"],
+)
+def test_disturbance_fractions_print_the_pinned_split(capsys, tmp_path, family, splits, whole):
+    path = tmp_path / "model.json"
+    for param, (ncf, cf, df) in splits.items():
+        path.write_text(model_to_json(family(F(param))))
+        code, out, err = run(capsys, "disturbance", str(path), "--fractions")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"fractions:\n  ncf: {ncf}\n  cf: {cf}\n  df: {df}\n"), param
+        if param == "1/4":
+            assert out == whole
+    assert run(capsys, "sweep", "disturbance-gap") == (0, DISTURBANCE_GAP_SWEEP, "")
 
 
 def test_sweep_csv_and_worker_determinism(capsys, tmp_path):
@@ -698,6 +784,30 @@ def test_malformed_entries_exit_2_naming_the_field(
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and not out and len(err.splitlines()) == 1
     assert err.endswith(f"{complaint}\n")
+
+
+LONG_KEY = "k" * 60
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("validate", "{" + '"dimension": 99, ' + json.dumps(CLASSICAL_BIT)[1:], "dimension"),
+        ("validate", "{" + f'"{LONG_KEY}": 1, "{LONG_KEY}": 2, ' + json.dumps(CLASSICAL_BIT)[1:],
+         "kkkkkkkkkkkkkkkkkkkkkkkkkkkkkk...kkkkkkkk"),
+        ("fraction", json.dumps(SPLIT_MODEL).replace('"0": ', '"0": ["1", 0, 0, 0], "0": '), "0"),
+        ("interference", '{"atoms": ["a", "b"], "masses": {"a": 0, "b": 0, "a|b": 1, "a|b": 7}}',
+         "a|b"),
+        ("homology", '[[0, 1], {"v": 0, "v": 1}]', "v"),
+    ],
+    ids=["fragment", "fragment-long-key", "model", "measure", "complex"],
+)
+def test_a_repeated_json_key_exits_2_naming_it(capsys, tmp_path, command, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and not out and len(err.splitlines()) == 1
+    assert err.endswith(f"a JSON object repeats the key {key!r}\n")
 
 
 def test_json_float_literals_read_as_the_shortest_decimal_naming_the_double(capsys, tmp_path):

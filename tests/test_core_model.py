@@ -116,6 +116,27 @@ def test_probability_range_and_bilinearity(f, data):
         assert dot(f.effects[r], mixed) == w * p + (1 - w) * probability(f, s2, r)
 
 
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            *(
+                st.lists(
+                    st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6)),
+                    min_size=n,
+                    max_size=n,
+                )
+                for _ in range(2)
+            )
+        )
+    )
+)
+def test_dot_is_the_fraction_sum(vectors):
+    a, b = vectors
+    total = dot(a, b)
+    assert type(total) is F
+    assert total == sum((F(x) * F(y) for x, y in zip(a, b)), F(0))
+
+
 @settings(max_examples=50)
 @given(classical_fragments())
 def test_transformed_probabilities_in_range(f):

@@ -112,6 +112,43 @@ def test_pivot_is_one_gauss_jordan_step(m, data):
             assert rows[i] is before[i], f"row {i} was rewritten"
 
 
+@st.composite
+def sparse_dependent_matrix(draw, max_rows=8, max_cols=8):
+    """Mostly-zero rational rows plus combinations of pairs of them, in a
+    shuffled order, so dependent rows come before and after their parts."""
+    n = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    rows = draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=max_rows)
+    )
+    scale = st.sampled_from([Fraction(0), Fraction(1), Fraction(-3), Fraction(2, 7)])
+    index = st.integers(0, len(rows) - 1)
+    for i, j, a, b in draw(st.lists(st.tuples(index, index, scale, scale), max_size=4)):
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return draw(st.permutations(rows))
+
+
+@given(st.one_of(sparse_dependent_matrix(), sign_matrix()))
+def test_independent_rows_are_the_greedy_choice_from_the_last_row(m):
+    greedy, chosen = [], []
+    for i in reversed(range(len(m))):
+        if linalg.rank([*chosen, m[i]]) > len(chosen):
+            chosen.append(m[i])
+            greedy.append(i)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+    kept = linalg.independent_rows(sparse)
+    assert kept == sorted(greedy)
+    assert linalg.rank([m[i] for i in kept]) == len(kept) == linalg.rank(m)
+    # explicit zeros are ignored
+    assert linalg.independent_rows([dict(enumerate(row)) for row in m]) == kept
+
+
+def test_independent_rows_of_nothing_and_of_zero_rows():
+    assert linalg.independent_rows([]) == []
+    assert linalg.independent_rows([{}, {3: Fraction(0)}]) == []
+    assert linalg.independent_rows([{0: 1}, {}, {0: Fraction(-1, 2)}]) == [2]
+
+
 def test_nullspace_ordering_is_by_free_column():
     # columns 0 and 1 are pivots, 2 and 3 free
     m = [

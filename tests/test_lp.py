@@ -3,11 +3,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from contextua.disturbance import detect_disturbance, fractions_with_disturbance
+from contextua.linalg import rank
 from contextua.lp import LinearProgram, LpSolution
 from contextua.noncontextuality import Limits, _embedding_program
 from contextua.scenarios import (
@@ -214,6 +215,20 @@ def test_redundant_rows_are_harmless():
     assert sol.objective == 1
 
 
+def test_implied_rows_leave_the_tableau_but_not_the_stored_form():
+    # x + y = 1 twice and 2x + 2y = 2: only the last row enters the tableau
+    lp, _ = build([1, 0], [[1, 1], [1, 1], [2, 2]], ["=", "=", "="], [1, 1, 2])
+    sol, path = solve_recording(lp)
+    assert (sol.status, sol.objective) == ("optimal", 1)
+    assert len(sol.eq_matrix) == 3 and sol.eq_rhs == (1, 1, 2)
+    assert {row for row, _ in path} == {0}
+    # with every row entered, phase 1 leaves an artificial on a row with no
+    # real entry: the full-rank invariant fails loudly instead
+    with patch("contextua.lp.independent_rows", lambda rows: list(range(len(rows)))):
+        with pytest.raises(AssertionError, match="implied by the others"):
+            lp.solve()
+
+
 def test_degenerate_cycling_instance_terminates():
     # the classic cycling instance for naive pivoting; Bland's rule must
     # terminate at value -1/20 with x = (1/25, 0, 1, 0)
@@ -271,19 +286,37 @@ def test_solution_bookkeeping_fields():
 # -- the integer simplex follows the Fraction full-row simplex exactly -------
 
 
-def fraction_simplex(lp):
+def presolved_rows(lp, rows, rhs):
+    """The rows the solver keeps, chosen by ``rank`` alone: every row with
+    a slack column, and each equality row, from the last to the first, whose
+    [A | b] raises the rank of the equality rows chosen after it."""
+    kept = [i for i, op in enumerate(lp._ops) if op != "="]
+    chosen = []
+    for i in reversed(range(len(rows))):
+        if lp._ops[i] == "=" and rank([*chosen, [*rows[i], rhs[i]]]) > len(chosen):
+            chosen.append([*rows[i], rhs[i]])
+            kept.append(i)
+    return sorted(kept)
+
+
+def fraction_simplex(lp, presolve=True):
     """Reference solver: the two-phase Bland simplex on a tableau of
     Fractions, where every pivot recomputes every other row over every
-    column.  Returns its solution and the (row, column) of every pivot."""
+    column.  With ``presolve`` the tableau holds only the rows of
+    :func:`presolved_rows`, and the certificate is 0 on the others; without
+    it every row enters, and rows left without a real pivot after phase 1
+    are dropped.  Returns its solution and the (row, column) of every
+    pivot."""
     rows, rhs, width = lp._standard_form()
     rows = [[row.get(j, F(0)) for j in range(width)] for row in rows]
-    m = len(rows)
     stored = dict(eq_matrix=tuple(map(tuple, rows)), eq_rhs=tuple(rhs))
+    entered = presolved_rows(lp, rows, rhs) if presolve else list(range(len(rows)))
+    m = len(entered)
     tableau = [
-        list(row) + [F(int(i == k)) for k in range(m)] + [b]
-        for i, (row, b) in enumerate(zip(rows, rhs))
+        list(rows[i]) + [F(int(k == a)) for a in range(m)] + [rhs[i]]
+        for k, i in enumerate(entered)
     ]
-    basis = [width + i for i in range(m)]
+    basis = [width + k for k in range(m)]
     path = []
 
     def pivot(row, col):
@@ -319,8 +352,10 @@ def fraction_simplex(lp):
     )
     assert bland(width + m), "feasibility phase cannot be unbounded"
     if tableau[m][-1] < 0:
-        cert = tuple(tableau[m][width + i] - 1 for i in range(m))
-        return LpSolution("infeasible", None, certificate=cert, **stored), path
+        cert = [F(0)] * len(rows)
+        for k, i in enumerate(entered):
+            cert[i] = tableau[m][width + k] - 1
+        return LpSolution("infeasible", None, certificate=tuple(cert), **stored), path
 
     drop = []
     for i in range(m):
@@ -398,6 +433,50 @@ def test_sparse_pivot_matches_dense_pivot(case):
     rhs = [c[2] for c in constraints]
     lp, _ = build(objective, rows, ops, rhs, sense)
     assert_same_path(lp)
+
+
+#: Equality rows the others imply: (kind, first, second, scale) appends a
+#: copy of equality row ``first``, the copy times ``scale``, or the sum of
+#: rows ``first`` and ``second``, each index taken modulo the equality rows.
+implied_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["copy", "scaled", "sum"]),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from([F(-2), F(1, 3), F(5, 2)]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60)
+@given(small_lps, implied_rows)
+@example(([1, 1], [([1, 1], "=", 1)], "max"), [("copy", 0, 0, F(1))])
+@example(([0, 1], [([1, -1], "=", 2), ([1, 1], "=", -1)], "min"), [("sum", 0, 1, F(1))])
+def test_implied_equalities_change_no_verdict(case, recipes):
+    objective, constraints, sense = case
+    equalities = [(row, b) for row, op, b in constraints if op == "="]
+    assume(equalities)
+    for kind, first, second, scale in recipes:
+        row, b = equalities[first % len(equalities)]
+        if kind == "scaled":
+            row, b = [scale * x for x in row], scale * b
+        elif kind == "sum":
+            other, c = equalities[second % len(equalities)]
+            row, b = [x + y for x, y in zip(row, other)], b + c
+        constraints = [*constraints, (row, "=", b)]
+    lp, _ = build(objective, *map(list, zip(*constraints)), sense)
+    ours = lp.solve()
+    ref, _ = fraction_simplex(lp, presolve=False)
+    assert (ours.status, ours.objective) == (ref.status, ref.objective)
+    assert (ours.eq_matrix, ours.eq_rhs) == (ref.eq_matrix, ref.eq_rhs)
+    if ours.status == "infeasible":
+        assert len(ours.certificate) == len(ours.eq_matrix)
+        assert ours.certificate_checks()
+        for j in range(len(ours.eq_matrix[0])):
+            assert sum(y * row[j] for y, row in zip(ours.certificate, ours.eq_matrix)) >= 0
+        assert sum(y * b for y, b in zip(ours.certificate, ours.eq_rhs)) < 0
 
 
 @pytest.mark.parametrize("fragment", [gbit, halving_fragment, qubit_fragment])
