@@ -3,8 +3,9 @@
 
 Fragments get the embedding verdict, minimal negativity, and the loop count
 of both object complexes; tables get the fraction split; event measures get
-their pair interference.  Useful as a quick smoke check after changes: the
-whole summary takes about 2 s (Python 3.11, one core).
+their pair interference; the random scenarios appear at seed 0.  Useful as
+a quick smoke check after changes: the whole summary takes about 0.6 s
+(Python 3.11, one core of a 2-vCPU Xeon).
 """
 
 import argparse

@@ -10,7 +10,6 @@ fraction left after splitting the disagreeing measurements apart.
 """
 
 import argparse
-from fractions import Fraction
 
 from _arguments import rational_list
 from contextua.disturbance import (
@@ -41,25 +40,20 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--gaps",
-        type=rational_list(Fraction(0), Fraction(1, 2)),
+        type=rational_list(planted_gap_model),
         default="0,1/8,1/4,3/8,1/2",
         help="planted chain gaps in [0,1/2]",
     )
     parser.add_argument(
         "--nudges",
-        type=rational_list(Fraction(0), Fraction(1)),
+        type=rational_list(nudged_box),
         default="0,1/8,1/4,1/2,1",
         help="box corner weights in [0,1]",
     )
     args = parser.parse_args()
 
-    report(
-        "planted chain (pure disturbance)", [(g, planted_gap_model(g)) for g in args.gaps]
-    )
-    report(
-        "nudged extremal box (disturbance eats contextuality)",
-        [(g, nudged_box(g)) for g in args.nudges],
-    )
+    report("planted chain (pure disturbance)", args.gaps)
+    report("nudged extremal box (disturbance eats contextuality)", args.nudges)
 
 
 if __name__ == "__main__":

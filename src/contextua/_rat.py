@@ -115,6 +115,17 @@ def list_in(x, what: str) -> list:
     return x
 
 
+def object_in(x, what: str, keys) -> dict:
+    """A JSON object whose keys all lie in ``keys``.  Any other key is
+    refused, quoted through :func:`excerpt`, where a reader would drop it."""
+    if type(x) is not dict:
+        raise ValueError(f"{what} is not a JSON object")
+    for key in x:
+        if key not in keys:
+            raise ValueError(f"{what} has an unknown key {excerpt(key)!r}")
+    return x
+
+
 def format_rational(value: Fraction) -> str:
     """Render a rational the way :func:`parse_rational` reads it back."""
     return str(Fraction(value))

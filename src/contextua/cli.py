@@ -16,10 +16,9 @@ import os
 import sys
 from fractions import Fraction
 from multiprocessing import Pool
-from random import Random
 
 from . import ddg
-from ._rat import excerpt, format_rational, json_in, list_in, parse_rational, rationals
+from ._rat import excerpt, format_rational, json_in, list_in, object_in, parse_rational, rationals
 from .connection import (
     build_object_complex,
     curvature,
@@ -57,9 +56,6 @@ from .scenarios import (
     SCENARIOS,
     noisy_pr_fragment,
     planted_gap_model,
-    random_acyclic_hypergraph,
-    random_fragment,
-    random_nondisturbing_model,
     two_party_model_from_fragment,
 )
 from .vorobyev import CompatibilityHypergraph, graham_reduce, h1_certificate
@@ -92,6 +88,7 @@ def _parse_hypergraph(text: str) -> CompatibilityHypergraph:
     doc = json_in(text)
     if isinstance(doc, dict) and "hypergraph" in doc:
         return model_from_json(text).hypergraph
+    doc = object_in(doc, "a hypergraph", ("measurements", "contexts"))
     return CompatibilityHypergraph(
         tuple(list_in(doc["measurements"], "measurements")),
         tuple(
@@ -145,22 +142,21 @@ def _parse_values(text: str, expected: int) -> list[Fraction]:
     return values
 
 
-def _coerce_param(raw: str):
-    for parse in (int, parse_rational, float):
-        try:
-            return parse(raw)
-        except ValueError:
-            continue
-    return raw
-
-
-def _parse_params(pairs) -> dict:
+def _parse_params(name: str, pairs) -> dict:
+    """Each ``--param K=V`` of scenario ``name`` as ``{K: V}``, V read by
+    :func:`parse_rational`; a key given twice is refused."""
     params = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise ValueError(f"--param expects key=value, got {excerpt(pair)!r}")
         key, _, raw = pair.partition("=")
-        params[key.strip()] = _coerce_param(raw.strip())
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"bad parameters for {name}: --param names {excerpt(key)!r} twice")
+        try:
+            params[key] = parse_rational(raw)
+        except ValueError as exc:
+            raise ValueError(f"bad parameter value for {name}: {excerpt(key)}: {exc}") from exc
     return params
 
 
@@ -180,6 +176,7 @@ _READERS = {
     "fragment": fragment_from_json,
     "model": model_from_json,
     "measure": measure_from_json,
+    "hypergraph": _parse_hypergraph,
     "complex": _parse_complex,
 }
 
@@ -307,16 +304,11 @@ def _cmd_homology(complex_, args):
     return report, False
 
 
-def _cmd_vorobyev(_, args):
-    # both inputs are optional, so this handler loads whichever it is given
-    if args.generalized is not None:
-        complex_ = _load(_parse_complex, args.generalized, "complex")
-        verdict, betti = h1_certificate(complex_)
+def _cmd_vorobyev(data, args):
+    if args.reads == "complex":  # --generalized
+        verdict, betti = h1_certificate(data)
         return {"verdict": verdict, "betti_1": betti}, False
-    if args.file is None:
-        raise ValueError("vorobyev needs a hypergraph file or --generalized")
-    h = _load(_parse_hypergraph, args.file, "hypergraph")
-    reduced, trace = graham_reduce(h)
+    reduced, trace = graham_reduce(data)
     report = {
         "acyclic": reduced.is_empty,
         "remaining_contexts": [list(c) for c in reduced.contexts],
@@ -334,46 +326,23 @@ def _cmd_interference(m, args):
     return report, False
 
 
-_RANDOM_KINDS = {
-    "random-fragment": "fragment",
-    "random-acyclic-model": "model",
-}
-
-
-def _emit_random(name: str, seed: int) -> str:
-    if name == "random-fragment":
-        return fragment_to_json(random_fragment(Random(seed)))
-    h = random_acyclic_hypergraph(Random(seed), max_measurements=6)
-    m = random_nondisturbing_model(
-        h, Random(seed + 1), outcomes={name: 2 for name in h.measurements}
-    )
-    return model_to_json(m)
-
-
 def _cmd_scenarios(_, args):
     if args.action == "list":
-        rows = [
-            {"name": name, "kind": SCENARIOS[name][0] if name in SCENARIOS else _RANDOM_KINDS[name]}
-            for name in sorted([*SCENARIOS, *_RANDOM_KINDS])
-        ]
+        rows = [{"name": name, "kind": SCENARIOS[name][0]} for name in sorted(SCENARIOS)]
         return {"scenarios": rows}, False
     if args.name is None:
         raise ValueError("scenarios emit needs a scenario name")
-    params = _parse_params(args.param)
-    if args.name in _RANDOM_KINDS:
-        if params:
-            raise ValueError("random scenarios take --seed, not --param")
-        return {"_raw": _emit_random(args.name, args.seed)}, False
     if args.name not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {excerpt(args.name)!r}; try `contextua scenarios list`"
         )
     kind, factory = SCENARIOS[args.name]
+    params = _parse_params(args.name, args.param)
     try:
         obj = factory(**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for {args.name}: {_quoted(exc, params)}") from exc
-    except (ValueError, OverflowError) as exc:  # Fraction(inf) overflows
+    except (ValueError, OverflowError) as exc:  # a huge rational overflows a float
         raise ValueError(
             f"bad parameter value for {args.name}: {_quoted(exc, params)}"
         ) from exc
@@ -414,15 +383,14 @@ def _cmd_disturbance(m, args):
 # -- sweep -------------------------------------------------------------------
 
 
-def _sweep_point(family: str, param_text: str) -> dict:
-    param = parse_rational(param_text)
+def _sweep_point(family: str, param_text: str, point) -> dict:
+    """The row of one point: ``point`` is its family factory's output."""
     if family == "pr-noise":
-        f = noisy_pr_fragment(param)
-        _, negativity = minimal_negativity(f)
-        report = contextual_fraction(two_party_model_from_fragment(f))
+        _, negativity = minimal_negativity(point)
+        report = contextual_fraction(two_party_model_from_fragment(point))
         negativity_text = format_rational(negativity)
     else:  # disturbance-gap
-        report = fractions_with_disturbance(planted_gap_model(param))
+        report = fractions_with_disturbance(point)
         negativity_text = ""
     return {
         "param": param_text,
@@ -431,9 +399,11 @@ def _sweep_point(family: str, param_text: str) -> dict:
     }
 
 
-_SWEEP_DEFAULTS = {
-    "pr-noise": "0,1/4,1/2,3/4,1",
-    "disturbance-gap": "0,1/8,1/4,3/8,1/2",
+#: Each sweep family's default points and the factory that builds a point's
+#: input, and so checks its range.
+_SWEEPS = {
+    "pr-noise": ("0,1/4,1/2,3/4,1", noisy_pr_fragment),
+    "disturbance-gap": ("0,1/8,1/4,3/8,1/2", planted_gap_model),
 }
 
 
@@ -448,18 +418,14 @@ def _cmd_sweep(_, args):
     if args.workers < 1:
         raise ValueError(f"--workers must be positive, got {args.workers}")
     family = args.family
-    points_text = args.points or _SWEEP_DEFAULTS[family]
-    points = [tok.strip() for tok in points_text.split(",") if tok.strip()]
-    for tok in points:
+    default_points, factory = _SWEEPS[family]
+    points = [tok.strip() for tok in (args.points or default_points).split(",") if tok.strip()]
+    jobs = []
+    for tok in points:  # every input is built before any analysis runs
         try:
-            value = parse_rational(tok)
+            jobs.append((family, tok, factory(parse_rational(tok))))
         except ValueError as exc:
             raise ValueError(f"bad sweep point {excerpt(tok)!r}: {exc}") from exc
-        if family == "pr-noise" and not 0 <= value <= 1:
-            raise ValueError(f"pr-noise weight must be in [0,1], got {excerpt(tok)}")
-        if family == "disturbance-gap" and not 0 <= value <= Fraction(1, 2):
-            raise ValueError(f"disturbance gap must be in [0,1/2], got {excerpt(tok)}")
-    jobs = [(family, tok) for tok in points]
     workers = min(args.workers, len(jobs), _usable_cpus())
     if workers > 1:
         with Pool(workers) as pool:
@@ -521,10 +487,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--values", help="comma-separated rational valuation, one entry per object")
     p = command("homology", _cmd_homology, "integer homology of a complex", reads="complex")
     p.add_argument("--n", type=int, default=1, help="degree (default 1)")
-    p = command("vorobyev", _cmd_vorobyev, "Graham reduction / certificate")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--generalized", metavar="COMPLEX",
-                   help="run the H1 certificate on a complex file instead")
+    p = command("vorobyev", _cmd_vorobyev, "Graham reduction / certificate",
+                reads="hypergraph")
+    p.add_argument("--generalized", action="store_const", dest="reads", const="complex",
+                   help="read the file as a complex and run the H1 certificate on it")
     p = command("interference", _cmd_interference, "pairwise/triple interference terms",
                 reads="measure")
     p.add_argument("--order", type=int, choices=(2, 3), default=2)
@@ -535,10 +501,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("scenarios", _cmd_scenarios, "list or emit canonical inputs")
     p.add_argument("action", choices=("list", "emit"))
     p.add_argument("name", nargs="?")
-    p.add_argument("--param", action="append", metavar="K=V", help="factory parameter, repeatable")
-    p.add_argument("--seed", type=int, default=0, help="seed for random-* scenarios")
+    p.add_argument("--param", action="append", metavar="K=V",
+                   help="rational factory parameter, such as seed=N for random-*; repeatable")
     p = command("sweep", _cmd_sweep, "parameter sweeps with CSV output")
-    p.add_argument("family", choices=sorted(_SWEEP_DEFAULTS))
+    p.add_argument("family", choices=sorted(_SWEEPS))
     p.add_argument("--points", help="comma-separated parameter values")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--emit-csv", metavar="PATH")

@@ -19,7 +19,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from ._rat import format_rational, int_in, json_in, list_in, rational_in
+from ._rat import format_rational, int_in, json_in, list_in, object_in, rational_in
 from .vorobyev import CompatibilityHypergraph
 
 Vec = tuple[Fraction, ...]
@@ -607,8 +607,13 @@ def _rationals_in(x, what: str) -> Vec:
     return tuple(rational_in(v, what) for v in list_in(x, what))
 
 
+_FRAGMENT_KEYS = (
+    "dimension", "states", "effects", "unit_effect", "measurements", "transformations",
+)
+
+
 def fragment_from_json(text: str) -> GptFragment:
-    payload = json_in(text)
+    payload = object_in(json_in(text), "a fragment", _FRAGMENT_KEYS)
 
     def rows(field: str) -> tuple[Vec, ...]:
         return tuple(
@@ -652,21 +657,20 @@ def model_to_json(m: EmpiricalModel) -> str:
 
 
 def model_from_json(text: str) -> EmpiricalModel:
-    payload = json_in(text)
+    payload = object_in(json_in(text), "a model", ("hypergraph", "outcomes", "tables"))
     contexts = tuple(
         tuple(list_in(c, f"hypergraph[{i}]"))
         for i, c in enumerate(list_in(payload["hypergraph"], "hypergraph"))
     )
     measurements = tuple(sorted({m for c in contexts for m in c}))
-    tables = tuple(
-        _rationals_in(payload["tables"][str(i)], f'tables["{i}"]')
-        for i in range(len(contexts))
-    )
+    keys = [str(i) for i in range(len(contexts))]
+    tables = object_in(payload["tables"], "tables", keys)
+    outcomes = object_in(payload["outcomes"], "outcomes", measurements)
     return EmpiricalModel(
         hypergraph=CompatibilityHypergraph(measurements, contexts),
         outcomes={
             k: int_in(v, f"measurement {k!r} outcome count")
-            for k, v in payload["outcomes"].items()
+            for k, v in outcomes.items()
         },
-        tables=tables,
+        tables=tuple(_rationals_in(tables[key], f'tables["{key}"]') for key in keys),
     )

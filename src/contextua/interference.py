@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from ._rat import excerpt, format_rational, json_in, list_in, rational_in
+from ._rat import excerpt, format_rational, json_in, list_in, object_in, rational_in
 from .connection import ConnectionDecomposition, ObjectComplex
 from .linalg import Matrix, transpose
 
@@ -280,7 +280,7 @@ def measure_to_json(m: EventMeasure) -> str:
 
 
 def measure_from_json(text: str) -> EventMeasure:
-    payload = json_in(text)
+    payload = object_in(json_in(text), "a measure", ("atoms", "masses"))
     masses = {}
     for key, value in payload["masses"].items():
         event = _parse_event_key(key)

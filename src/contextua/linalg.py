@@ -254,19 +254,19 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix, in divisibility order.
 
     Classic elimination: pick the nonzero entry of least magnitude, move it to
-    the working corner, reduce its row and column by Euclidean steps, restore
-    the divisibility chain, recurse on the remaining block.  The search for
-    the least entry stops at the first ±1, which is already the first
-    minimum in row-major order; a ±1 pivot divides every entry, so the
-    divisibility check is skipped for it.  On boundary matrices nearly every
-    pivot is ±1.
+    the working corner, reduce its row and column by Euclidean steps, recurse
+    on the remaining block.  The search for the least entry stops at the
+    first ±1, which is already the first minimum in row-major order.  The
+    diagonal left behind is put in divisibility order by one pass over its
+    entries above 1, which replaces each pair (a, b) by (gcd, lcm); the Smith
+    form is unique, so these are the invariant factors.  On boundary
+    matrices nearly every pivot is ±1, and the pass has nothing to do.
     """
     m = [[int(x) for x in row] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     factors: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
+    for t in range(min(nrows, ncols)):
         pr = pc = -1
         best = None
         for i in range(t, nrows):
@@ -309,22 +309,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
                         break
             if done:
                 break
-        # Restore divisibility: the pivot must divide every remaining entry
-        # (a ±1 pivot always does).
-        pivot = m[t][t]
-        offender = None
-        if abs(pivot) != 1:
-            offender = next(
-                (
-                    i
-                    for i in range(t + 1, nrows)
-                    if any(m[i][j] % pivot for j in range(t + 1, ncols))
-                ),
-                None,
-            )
-        if offender is not None:
-            m[t] = [a + b for a, b in zip(m[t], m[offender])]
-            continue
-        factors.append(abs(pivot))
-        t += 1
-    return factors
+        factors.append(abs(m[t][t]))
+    chain = [d for d in factors if d > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            chain[i], chain[j] = gcd(a, b), lcm(a, b)
+    return [1] * (len(factors) - len(chain)) + chain

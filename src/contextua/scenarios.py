@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
 
-from ._rat import parse_rational, rationalize
+from ._rat import excerpt, rationalize
 from .core_model import (
     EmpiricalModel,
     GptFragment,
@@ -249,20 +249,18 @@ def pr_box_fragment() -> GptFragment:
     )
 
 
-def noisy_pr_fragment(weight: Fraction | str | float = Fraction(3, 4)) -> GptFragment:
+def noisy_pr_fragment(weight: Fraction | float = Fraction(3, 4)) -> GptFragment:
     """PR fragment with every state mixed toward the uniform box.
 
     ``weight`` is the surviving extremal fraction; the uniform box is the
     correlator-free state (1, 0, ..., 0).  Mixing each state with the same
     fixed vector preserves the state dependence because its coefficients
-    sum to zero.  Exact weights (rationals and rational text) stay exact;
-    only a float is snapped to a denominator of at most 10**6.
+    sum to zero.  An exact weight (an int or a Fraction) stays exact; only
+    a float is snapped to a denominator of at most 10**6.
     """
-    if isinstance(weight, str):
-        weight = parse_rational(weight)
-    w = rationalize(weight) if isinstance(weight, float) else Fraction(weight)
+    w = rationalize(weight) if isinstance(weight, float) else weight
     if not 0 <= w <= 1:
-        raise ValueError(f"weight must lie in [0, 1], got {w}")
+        raise ValueError(f"weight must lie in [0, 1], got {excerpt(str(w))}")
     base = pr_box_fragment()
     uniform = (_ONE,) + (_ZERO,) * 8
     states = tuple(
@@ -337,7 +335,7 @@ def planted_gap_model(gap: Fraction) -> EmpiricalModel:
     1/2 - gap, so the model disturbs for every gap in (0, 1/2].
     """
     if not 0 <= gap <= Fraction(1, 2):
-        raise ValueError(f"gap must lie in [0, 1/2], got {gap}")
+        raise ValueError(f"gap must lie in [0, 1/2], got {excerpt(str(gap))}")
     h = CompatibilityHypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
     q = Fraction(1, 2) - gap
     uniform = (Fraction(1, 4),) * 4
@@ -349,7 +347,7 @@ def nudged_box(g: Fraction) -> EmpiricalModel:
     """:func:`pr_box` with context (a1, b1) pulled toward the corner
     (1, 0, 0, 0) by weight ``g``; it disturbs for every g in (0, 1]."""
     if not 0 <= g <= 1:
-        raise ValueError(f"weight must lie in [0, 1], got {g}")
+        raise ValueError(f"weight must lie in [0, 1], got {excerpt(str(g))}")
     box = pr_box()
     corner = (_ONE, _ZERO, _ZERO, _ZERO)
     tables = list(box.tables)
@@ -746,15 +744,33 @@ def random_ontic_table(
 CLASSICAL_SIMPLEX_CLI_MAX = 64
 
 
+def _whole(name: str, value) -> int:
+    if value != int(value):
+        raise ValueError(f"{name} must be a whole number")
+    return int(value)
+
+
 def _classical_simplex_cli(n=3) -> GptFragment:
-    if isinstance(n, str) or n != int(n):  # a string is no number in any base
-        raise ValueError("n must be a whole number")
-    n = int(n)
+    n = _whole("n", n)
     if n > CLASSICAL_SIMPLEX_CLI_MAX:
         raise ValueError(
             f"n exceeds the command-line cap of {CLASSICAL_SIMPLEX_CLI_MAX}"
         )
     return classical_simplex(n)
+
+
+def _random_fragment_cli(seed=0) -> GptFragment:
+    return random_fragment(Random(_whole("seed", seed)))
+
+
+def _random_acyclic_model_cli(seed=0) -> EmpiricalModel:
+    """A binary model on a random acyclic hypergraph of at most six
+    measurements; the tables draw from ``Random(seed + 1)``."""
+    seed = _whole("seed", seed)
+    h = random_acyclic_hypergraph(Random(seed), max_measurements=6)
+    return random_nondisturbing_model(
+        h, Random(seed + 1), outcomes={name: 2 for name in h.measurements}
+    )
 
 
 def _chsh_cli(a0=None, a1=None, b0=None, b1=None) -> EmpiricalModel:
@@ -773,9 +789,11 @@ SCENARIOS: dict[str, tuple[str, object]] = {
     "halving": ("fragment", halving_fragment),
     "qubit": ("fragment", qubit_fragment),
     "pr-box-fragment": ("fragment", pr_box_fragment),
-    "noisy-pr-fragment": ("fragment", lambda weight="3/4": noisy_pr_fragment(weight)),
+    "noisy-pr-fragment": ("fragment", noisy_pr_fragment),
     "pr-box": ("model", pr_box),
     "chsh-quantum": ("model", _chsh_cli),
     "kcbs-quantum": ("model", kcbs_quantum),
     "two-slit": ("measure", two_slit_measure),
+    "random-fragment": ("fragment", _random_fragment_cli),
+    "random-acyclic-model": ("model", _random_acyclic_model_cli),
 }

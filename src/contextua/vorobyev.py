@@ -10,7 +10,6 @@ absence of contextuality.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,16 +59,14 @@ ReductionStep = tuple
 
 
 def graham_reduce(
-    h: CompatibilityHypergraph, choice_seed: int | None = None
+    h: CompatibilityHypergraph,
 ) -> tuple[CompatibilityHypergraph, list[ReductionStep]]:
     """Reduce to the fixpoint; return it plus the replayable step trace.
 
-    The default order is deterministic: the lexicographically least lone
-    measurement first, then the least-index subset context.  ``choice_seed``
-    randomizes the choices instead (used to check that the emptiness verdict
-    does not depend on the order).
+    The order is deterministic: the lexicographically least lone measurement
+    first, then the first empty context, then the first subset pair.  The
+    reduction is confluent, so the fixpoint does not depend on that order.
     """
-    rng = random.Random(choice_seed) if choice_seed is not None else None
     contexts = [list(c) for c in h.contexts]
     trace: list[ReductionStep] = []
     while True:
@@ -78,29 +75,30 @@ def graham_reduce(
         for context in contexts:
             for m in context:
                 counts[m] = counts.get(m, 0) + 1
-        lone = sorted(m for m, n in counts.items() if n == 1)
+        lone = [m for m, n in counts.items() if n == 1]
         if lone:
-            m = rng.choice(lone) if rng else lone[0]
+            m = min(lone)
             idx = next(i for i, c in enumerate(contexts) if m in c)
             trace.append(("lone-measurement", m, tuple(contexts[idx])))
             contexts[idx].remove(m)
             continue
         # empty contexts count as subsets of anything and simply drop out
-        empties = [i for i, c in enumerate(contexts) if not c]
-        if empties:
-            i = rng.choice(empties) if rng else empties[0]
+        if [] in contexts:
             trace.append(("empty-context", ()))
-            contexts.pop(i)
+            contexts.remove([])
             continue
         # rule 2: a context contained in another
-        subset_pairs = [
-            (i, j)
-            for i, ci in enumerate(contexts)
-            for j, cj in enumerate(contexts)
-            if i != j and set(ci) <= set(cj)
-        ]
-        if subset_pairs:
-            i, j = rng.choice(subset_pairs) if rng else subset_pairs[0]
+        pair = next(
+            (
+                (i, j)
+                for i, ci in enumerate(contexts)
+                for j, cj in enumerate(contexts)
+                if i != j and set(ci) <= set(cj)
+            ),
+            None,
+        )
+        if pair is not None:
+            i, j = pair
             trace.append(("subset-context", tuple(contexts[i]), tuple(contexts[j])))
             contexts.pop(i)
             continue

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from contextua import cli
 from contextua.cli import main
 from contextua.core_model import fragment_from_json, model_from_json, model_to_json
 from contextua.interference import additive_measure, all_i3, measure_from_json, measure_to_json
-from contextua.scenarios import nudged_box, planted_gap_model
+from contextua.scenarios import SCENARIOS, nudged_box, planted_gap_model
 
 
 def run(capsys, *argv):
@@ -52,7 +53,7 @@ def test_scenarios_list_and_every_emit_round_trips(capsys, tmp_path):
     names = {row["name"] for row in listing}
     assert {"pr-box", "gbit", "halving", "random-fragment"} <= names
     for row in listing:
-        extra = ("--seed", "3") if row["name"].startswith("random-") else ()
+        extra = ("--param", "seed=3") if row["name"].startswith("random-") else ()
         path = emit(capsys, tmp_path, row["name"], *extra)
         text = Path(path).read_text()
         if row["kind"] == "fragment":
@@ -263,6 +264,9 @@ def test_vorobyev_subcommand_paths(capsys, tmp_path):
         run(capsys, "vorobyev", "--generalized", str(hollow), "--json")[1]
     )
     assert report == {"verdict": "inconclusive", "betti_1": 1}
+    assert run(capsys, "vorobyev", str(hollow), "--generalized") == run(
+        capsys, "vorobyev", "--generalized", str(hollow)
+    )
     filled = tmp_path / "filled.json"
     filled.write_text("[[0,1,2]]")
     report = json.loads(
@@ -270,7 +274,10 @@ def test_vorobyev_subcommand_paths(capsys, tmp_path):
     )
     assert report == {"verdict": "noncontextual-certified", "betti_1": 0}
 
-    assert run(capsys, "vorobyev")[0] == 2
+    # one file, read as a hypergraph or, with --generalized, as a complex
+    for argv in ([], [str(cycle), str(single)], [str(cycle), "--generalized", str(hollow)]):
+        code, out, err = run(capsys, "vorobyev", *argv)
+        assert code == 2 and not out and err.startswith("usage:")
     broken = tmp_path / "broken.json"
     broken.write_text('{"measurements": ["a"]')
     code, _, err = run(capsys, "vorobyev", str(broken))
@@ -563,11 +570,15 @@ def test_fragment_without_equalities_embeds(capsys, tmp_path):
 
 def test_model_without_contexts_is_noncontextual(capsys, tmp_path):
     """An empty hypergraph has one global assignment, the empty one, and it
-    carries the whole weight; tables for absent contexts are not read."""
+    carries the whole weight; a table or an outcome count for an absent
+    context or measurement is refused, not dropped."""
     path = tmp_path / "empty.json"
-    path.write_text(
-        json.dumps({"hypergraph": [], "outcomes": {"a": 2}, "tables": {"0": [1, 0]}})
-    )
+    for key, extra in (("tables", {"0": [1, 0]}), ("outcomes", {"a": 2})):
+        path.write_text(json.dumps({"hypergraph": [], "outcomes": {}, "tables": {}, key: extra}))
+        code, out, err = run(capsys, "fraction", str(path))
+        assert code == 2 and not out and len(err.splitlines()) == 1
+        assert err.endswith(f"{key} has an unknown key {next(iter(extra))!r}\n")
+    path.write_text(json.dumps({"hypergraph": [], "outcomes": {}, "tables": {}}))
     code, out, err = run(capsys, "fraction", str(path), "--json", "--strict")
     assert (code, err) == (0, "")
     assert json.loads(out) == {
@@ -774,6 +785,21 @@ def test_rational_text_and_json_lists_load(capsys, tmp_path, command, doc):
          "event key 'b|a' repeats an earlier key's event"),
         ("interference", dict(TWO_ATOMS, masses={"a": 0, "b": 0, "a|b": 1, "a||b": 7}),
          "event key 'a||b' has an empty atom name"),
+        # a key no reader reads is refused, not dropped
+        ("nc-check", dict(CLASSICAL_BIT, transformation=[]),
+         "a fragment has an unknown key 'transformation'"),
+        ("nc-check", dict(CLASSICAL_BIT, **{"k" * 60: 1}),
+         "a fragment has an unknown key 'kkkkkkkkkkkkkkkkkkkkkkkkkkkkkk...kkkkkkkk'"),
+        ("fraction", dict(SPLIT_MODEL, table={}), "a model has an unknown key 'table'"),
+        ("fraction", dict(SPLIT_MODEL, outcomes={"a": 2, "b": 2, "typo": 5}),
+         "outcomes has an unknown key 'typo'"),
+        ("fraction", dict(SPLIT_MODEL, tables={"0": [1, 0, 0, 0], "1": [1]}),
+         "tables has an unknown key '1'"),
+        ("interference", dict(TWO_ATOMS, mass={}), "a measure has an unknown key 'mass'"),
+        ("vorobyev", {"measurements": ["a"], "contexts": [["a"]], "context": []},
+         "a hypergraph has an unknown key 'context'"),
+        ("vorobyev", dict(SPLIT_MODEL, outcomes={"a": 2, "b": 2, "c": 2}),
+         "outcomes has an unknown key 'c'"),
     ],
 )
 def test_malformed_entries_exit_2_naming_the_field(
@@ -910,7 +936,32 @@ def test_exact_masses_beyond_float_range_are_read_exactly(
 def test_a_nan_phase_emits_no_two_slit_measure(capsys):
     code, out, err = run(capsys, "scenarios", "emit", "two-slit", "--param", "phase=nan")
     assert code == 2 and not out and len(err.splitlines()) == 1
-    assert "two-slit" in err and "not finite" in err
+    assert "two-slit" in err and "'nan'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [
+        (["two-slit", "--param", "phase=1e-5000"], "phase: decimal exponent beyond"),
+        (["two-slit", "--param", "phase=abc"], "phase: Invalid literal for Fraction: 'abc'"),
+        (["chsh-quantum", "--param", "a0=inf"], "a0: Invalid literal for Fraction: 'inf'"),
+        (["classical-simplex", "--param", "n=5", "--param", "n=2"], "--param names 'n' twice"),
+        (["gbit", "--param", "seed=7"], "unexpected keyword argument 'seed'"),
+        (["random-fragment", "--param", "seed=1/2"], "seed must be a whole number"),
+    ],
+    ids=["exponent", "text", "infinity", "repeated-key", "seed-elsewhere", "half-seed"],
+)
+def test_param_values_are_rationals_given_once(capsys, argv, complaint):
+    code, out, err = run(capsys, "scenarios", "emit", *argv)
+    assert code == 2 and not out and len(err.splitlines()) == 1
+    assert complaint in err and argv[0] in err
+
+
+def test_random_scenarios_take_their_seed_as_a_param(capsys):
+    seeded = run(capsys, "scenarios", "emit", "random-fragment", "--param", "seed=7")
+    assert seeded[0] == 0 and seeded != run(capsys, "scenarios", "emit", "random-fragment")
+    code, out, err = run(capsys, "scenarios", "emit", "random-fragment", "--seed", "7")
+    assert code == 2 and not out and err.startswith("usage:")
 
 
 def test_classical_simplex_takes_a_whole_n_only(capsys):
@@ -1025,7 +1076,7 @@ FLAG_TABLE = {
     "vorobyev": ["file", "--generalized", "--json", "--strict"],
     "interference": ["file", "--order", "--json", "--strict"],
     "disturbance": ["file", "--extend", "--fractions", "--json", "--strict", "--scale-cap"],
-    "scenarios": ["action", "name", "--param", "--seed", "--json", "--strict"],
+    "scenarios": ["action", "name", "--param", "--json", "--strict"],
     "sweep": ["family", "--points", "--workers", "--emit-csv", "--json", "--strict"],
 }
 
@@ -1101,8 +1152,11 @@ def documents(draw):
     return doc
 
 
+FUZZ_ALPHABET = "0123456789-/.,e "
+
+
 @st.composite
-def invocations(draw, path, complex_path):
+def invocations(draw, path):
     command = draw(st.sampled_from(sorted(FILE_COMMANDS)))
     argv = [command, path]
     for action in FILE_COMMANDS[command]:
@@ -1117,24 +1171,52 @@ def invocations(draw, path, complex_path):
             argv += [flag, str(draw(st.sampled_from(action.choices)))]
         elif action.type is int:
             argv += [flag, str(draw(st.integers(-2, 40)))]
-        elif action.metavar == "COMPLEX":
-            argv += [flag, complex_path]
         else:
-            argv += [flag, draw(st.text(alphabet="0123456789-/.,e ", max_size=10))]
+            argv += [flag, draw(st.text(alphabet=FUZZ_ALPHABET, max_size=10))]
     return argv
 
 
+NUMBER_TEXT = st.text(alphabet=FUZZ_ALPHABET, max_size=10) | st.sampled_from(
+    ["nan", "inf", "1e-5000"]
+)
+
+
+@st.composite
+def number_invocations(draw):
+    """``scenarios emit`` with drawn ``--param`` pairs, or ``sweep`` on
+    drawn points: at most one ``pr-noise`` point, which costs 0.05-0.35 s."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(SCENARIOS)))
+        keys = [*inspect.signature(SCENARIOS[name][1]).parameters, "junk", ""]
+        argv = ["scenarios", "emit", name]
+        for _ in range(draw(st.integers(0, 3))):
+            argv += ["--param", f"{draw(st.sampled_from(keys))}={draw(NUMBER_TEXT)}"]
+        return argv
+    family = draw(st.sampled_from(["pr-noise", "disturbance-gap"]))
+    point = NUMBER_TEXT.map(lambda text: text.replace(",", ""))
+    points = draw(st.lists(point, max_size=1 if family == "pr-noise" else 3))
+    return ["sweep", family, "--points", ",".join(points)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(number_invocations())
+def test_fuzzed_params_and_sweep_points_end_in_a_known_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code)
+    if code == 2 and not err.getvalue().startswith("usage:"):
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.data(), documents(), documents())
-def test_fuzzed_files_and_flags_end_in_a_known_exit_code(data, doc, complex_doc):
+@given(st.data(), documents())
+def test_fuzzed_files_and_flags_end_in_a_known_exit_code(data, doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
-        complex_path = os.path.join(tmp, "complex.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        with open(complex_path, "w") as fh:
-            json.dump(complex_doc, fh)
-        argv = data.draw(invocations(path, complex_path))
+        argv = data.draw(invocations(path))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

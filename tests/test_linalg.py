@@ -316,8 +316,8 @@ def test_smith_normal_form_known_torsion_case():
     "m, factors", [([[2, 0], [0, 3]], [1, 6]), ([[4, 0], [0, 6]], [2, 12])]
 )
 def test_smith_normal_form_restores_divisibility(m, factors):
-    """A diagonal input whose pivot does not divide the next entry takes the
-    row-addition repair."""
+    """A diagonal input whose pivot does not divide the next entry is put in
+    divisibility order by the gcd/lcm pass over the diagonal."""
     assert linalg.smith_normal_form(m) == factors
     sm = sympy_snf(sympy.Matrix(m))
     assert [abs(sm[i, i]) for i in range(2)] == factors

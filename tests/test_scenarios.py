@@ -198,7 +198,8 @@ def test_disturbance_families_refuse_parameters_outside_their_range():
 def test_noisy_pr_keeps_exact_weights_and_snaps_floats():
     state = noisy_pr_fragment(Fraction(1, 1234567)).states[0]
     assert {x.denominator for x in state} == {1, 1234567}
-    assert noisy_pr_fragment("1/1234567").states[0] == state
+    with pytest.raises(TypeError):  # text is read at the input boundary, not here
+        noisy_pr_fragment("1/1234567")
     # a float still snaps to a denominator of at most 10**6, as before
     snapped = Fraction(1 / 1234567).limit_denominator(10**6)
     assert snapped == Fraction(1, 1000000)
@@ -422,4 +423,17 @@ def test_registry_entries_build_their_kind():
     _, build = SCENARIOS["classical-simplex"]
     assert len(build(n=4).states) == 4
     _, build = SCENARIOS["noisy-pr-fragment"]
-    assert build(weight="1/2").states[0][5] == Fraction(1, 2)
+    assert build(weight=Fraction(1, 2)).states[0][5] == Fraction(1, 2)
+    # the random scenarios are the generators at a seed, the model's tables
+    # drawn from the next seed
+    _, build = SCENARIOS["random-fragment"]
+    assert build(seed=Fraction(7)) == random_fragment(Random(7))
+    _, build = SCENARIOS["random-acyclic-model"]
+    h = random_acyclic_hypergraph(Random(7), max_measurements=6)
+    assert build(seed=Fraction(7)) == random_nondisturbing_model(
+        h, Random(8), outcomes=dict.fromkeys(h.measurements, 2)
+    )
+    for name in ("classical-simplex", "random-fragment"):
+        _, build = SCENARIOS[name]
+        with pytest.raises(ValueError, match="must be a whole number"):
+            build(Fraction(5, 2))

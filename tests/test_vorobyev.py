@@ -79,11 +79,30 @@ def test_verdict_is_order_independent():
             ("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c"))
         )
     )
+    # a 4-cycle with a pendant context, which reduces to the bare cycle
+    samples.append(
+        CompatibilityHypergraph(
+            tuple("abcdef"),
+            (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "e", "f")),
+        )
+    )
     for h in samples:
-        baseline = graham_reduce(h)[0].is_empty
+        baseline = graham_reduce(h)[0]
         for _ in range(5):
-            seeded = graham_reduce(h, choice_seed=rng.randrange(2**30))[0]
-            assert seeded.is_empty == baseline
+            # relabelling the measurements and shuffling the contexts changes
+            # which lone measurement and which subset pair come first
+            names = list(h.measurements)
+            relabel = dict(zip(names, rng.sample(names, len(names))))
+            contexts = [tuple(relabel[m] for m in c) for c in h.contexts]
+            rng.shuffle(contexts)
+            moved = CompatibilityHypergraph(tuple(relabel.values()), tuple(contexts))
+            back = {new: old for old, new in relabel.items()}
+            reduced = graham_reduce(moved)[0]
+            # the reduction is confluent: the fixpoint maps onto the baseline's
+            assert {back[m] for m in reduced.measurements} == set(baseline.measurements)
+            assert {frozenset(back[m] for m in c) for c in reduced.contexts} == {
+                frozenset(c) for c in baseline.contexts
+            }
 
 
 def test_random_acyclic_generator_agrees_with_reduction():
