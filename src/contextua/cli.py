@@ -34,6 +34,7 @@ from .core_model import (
     equivalences,
     fragment_from_json,
     fragment_to_json,
+    model_from_document,
     model_from_json,
     model_to_json,
     validate_fragment,
@@ -87,7 +88,7 @@ def _parse_hypergraph(text: str) -> CompatibilityHypergraph:
     """A bare hypergraph document, or the hypergraph of a model file."""
     doc = json_in(text)
     if isinstance(doc, dict) and "hypergraph" in doc:
-        return model_from_json(text).hypergraph
+        return model_from_document(doc).hypergraph
     doc = object_in(doc, "a hypergraph", ("measurements", "contexts"))
     return CompatibilityHypergraph(
         tuple(list_in(doc["measurements"], "measurements")),

@@ -657,7 +657,12 @@ def model_to_json(m: EmpiricalModel) -> str:
 
 
 def model_from_json(text: str) -> EmpiricalModel:
-    payload = object_in(json_in(text), "a model", ("hypergraph", "outcomes", "tables"))
+    return model_from_document(json_in(text))
+
+
+def model_from_document(doc) -> EmpiricalModel:
+    """The model of an already parsed model file."""
+    payload = object_in(doc, "a model", ("hypergraph", "outcomes", "tables"))
     contexts = tuple(
         tuple(list_in(c, f"hypergraph[{i}]"))
         for i, c in enumerate(list_in(payload["hypergraph"], "hypergraph"))

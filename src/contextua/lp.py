@@ -1,4 +1,4 @@
-"""Exact rational linear programming via two-phase simplex with Bland's rule.
+"""Exact rational linear programming via the simplex method with Bland's rule.
 
 All variables are nonnegative; callers split free variables themselves.
 Infeasible problems come back with a Farkas certificate against the stored
@@ -28,13 +28,26 @@ with its own slack column is independent of every other row and always
 kept.  The equality rows are scanned from the last to the first, and one
 is kept when the ``[A | b]`` rows kept so far do not span it
 (:func:`contextua.linalg.independent_rows`).  The kept rows enter the
-tableau in their original order, each with its own artificial.  A dropped
+tableau in their original order, each with its own artificial when phase
+1 runs (see the start rule below).  A dropped
 row is a combination of kept rows, right-hand side included, so the kept
 rows have the same feasible set: the status and the objective are those of
 every row.  A Farkas certificate over the kept rows gets multiplier 0 on
 each dropped row and so replays against the whole stored form, which keeps
 every row in its place.  On a feasible phase 1 the kept rows have full row
 rank, so every artificial still basic pivots out on a real column.
+
+The start rule.  When every stored row has its own slack column with
+coefficient +1 after the sign fix (every ``<=`` row with b >= 0 and every
+``>=`` row with b < 0, and no equality row), the slack columns are a basis
+whose values are the rhs, so it is feasible: phase 2 starts from it, with
+no artificial column and no phase 1.  Every contextual-fraction LP has
+this form.  Any other program, such as an embedding LP (equality rows
+only) or the disturbance LP (equality rows and ``<=`` rows), starts from
+all artificial columns, one per kept row, and runs phase 1 first, also
+where some rows have a +1 slack: a start that mixed slacks and
+artificials would move the optimal vertex that Bland's rule reaches, and
+with it the parts that ``disturbance --fractions`` prints.
 
 A pivot is :func:`contextua.linalg.pivot`, the package's one elimination
 step, plus the basis update.  The tableau rows are built afresh and then
@@ -172,50 +185,38 @@ class LinearProgram:
         )
         m = len(kept)
 
+        # slack start: when every row has its own slack column with
+        # coefficient +1 (so no equality row), those columns form a basis
+        # with B^-1 b = b >= 0, and phase 2 starts from it
+        n = len(self._names)
+        slack_start = "=" not in self._ops and all(
+            row[n + i] == 1 for i, row in enumerate(rows)
+        )
+        artificials = 0 if slack_start else m
+
         # tableau: m kept rows + objective row, each as ints over its own
-        # denominator; columns = width originals + m artificials + rhs
+        # denominator; columns = width originals + the artificials + rhs
         tableau, dens = [], []
         for k, i in enumerate(kept):
             ints, den = over_lcm([*rows[i].values(), rhs[i]])
-            placed = [0] * (width + m) + ints[-1:]
+            placed = [0] * (width + artificials) + ints[-1:]
             for j, y in zip(rows[i], ints):
                 placed[j] = y
-            placed[width + k] = den
+            if artificials:
+                placed[width + k] = den
             tableau.append(placed)
             dens.append(den)
-        basis = [width + k for k in range(m)]
 
-        # phase 1: minimize the artificial total; each artificial column
-        # prices to 1 - 1 = 0
-        self._price(tableau, dens, basis, [_ZERO] * width + [_ONE] * m + [_ZERO])
-        if not self._run_simplex(tableau, dens, basis, width + m):
-            raise AssertionError("feasibility phase cannot be unbounded")
-
-        obj, obj_den = tableau[m], dens[m]
-        if obj[-1] < 0:
-            cert = [_ZERO] * len(rows)
-            for k, i in enumerate(kept):
-                cert[i] = Fraction(obj[width + k] - obj_den, obj_den)
-            solution = LpSolution("infeasible", None, certificate=tuple(cert), **stored)
-            if not solution.certificate_checks():
-                raise AssertionError("Farkas certificate failed self-check")
-            return solution
-
-        # pivot artificials out of the basis: the kept rows of a feasible
-        # program have full row rank, so each such row has a real nonzero
-        for i in range(m):
-            if basis[i] < width:
-                continue
-            j = next((j for j in range(width) if tableau[i][j]), None)
-            if j is None:
-                raise AssertionError("a kept row is implied by the others")
-            self._pivot(tableau, dens, basis, i, j)
-        truncated = [
-            lowest_terms(row[:width] + [row[-1]], den)
-            for row, den in zip(tableau[:m], dens)
-        ]
-        tableau = [ints for ints, _ in truncated]
-        dens = [den for _, den in truncated]
+        if slack_start:
+            basis = [n + i for i in range(m)]
+        else:
+            basis = [width + k for k in range(m)]
+            infeasible = self._phase_one(tableau, dens, basis, width, kept, len(rows))
+            if infeasible is not None:
+                solution = LpSolution("infeasible", None, certificate=infeasible, **stored)
+                if not solution.certificate_checks():
+                    raise AssertionError("Farkas certificate failed self-check")
+                return solution
 
         # phase 2: the program's objective, internally minimized
         sign = -_ONE if self.sense == "max" else _ONE
@@ -233,6 +234,41 @@ class LinearProgram:
         return LpSolution("optimal", objective, assignment, **stored)
 
     # ------------------------------------------------------------------
+    @classmethod
+    def _phase_one(cls, tableau, dens, basis, width, kept, n_rows):
+        """Bland phase 1 from the all-artificial basis, in place.  Returns
+        the Farkas certificate over all ``n_rows`` rows when the program is
+        infeasible; otherwise leaves a feasible basis of real columns and a
+        tableau without the artificial columns, and returns None."""
+        m = len(kept)
+        # minimize the artificial total; each artificial column prices to
+        # 1 - 1 = 0
+        cls._price(tableau, dens, basis, [_ZERO] * width + [_ONE] * m + [_ZERO])
+        if not cls._run_simplex(tableau, dens, basis, width + m):
+            raise AssertionError("feasibility phase cannot be unbounded")
+
+        obj, obj_den = tableau.pop(), dens.pop()
+        if obj[-1] < 0:
+            cert = [_ZERO] * n_rows
+            for k, i in enumerate(kept):
+                cert[i] = Fraction(obj[width + k] - obj_den, obj_den)
+            return tuple(cert)
+
+        # pivot artificials out of the basis: the kept rows of a feasible
+        # program have full row rank, so each such row has a real nonzero
+        for i in range(m):
+            if basis[i] < width:
+                continue
+            j = next((j for j in range(width) if tableau[i][j]), None)
+            if j is None:
+                raise AssertionError("a kept row is implied by the others")
+            cls._pivot(tableau, dens, basis, i, j)
+        for i in range(m):
+            tableau[i], dens[i] = lowest_terms(
+                tableau[i][:width] + [tableau[i][-1]], dens[i]
+            )
+        return None
+
     @staticmethod
     def _price(tableau, dens, basis, cost):
         """Append the objective row cost - sum c_B * row, over one common

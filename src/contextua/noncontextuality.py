@@ -35,6 +35,7 @@ from .core_model import (
     validate_fragment,
 )
 from .lp import LinearProgram, LpSolution
+from .vorobyev import is_acyclic
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -332,6 +333,15 @@ def contextual_fraction(
     context restrictions stay below every table entry; the optimum is the
     noncontextual fraction, its complement the contextual fraction, and
     the two normalized parts recompose the input exactly.
+
+    The model is checked to be non-disturbing, and then its assignment
+    count against ``limits``, before anything else.  On an acyclic
+    hypergraph (:func:`contextua.vorobyev.is_acyclic`) no LP is solved:
+    by Vorob'ev's theorem every non-disturbing model there extends to a
+    global distribution, so ncf = 1, ``p_nc`` is the model itself and
+    ``p_sc`` is None.  That is the LP's own report, because a total
+    weight of 1 under tables that each sum to 1 restricts to the tables
+    exactly.
     """
     assert_nondisturbing(m)
     h = m.hypergraph
@@ -339,6 +349,10 @@ def contextual_fraction(
     if count > limits.assignments:
         raise ScaleCapError(
             f"scale cap: more than {limits.assignments} global assignments"
+        )
+    if is_acyclic(h):
+        return FractionReport(
+            ncf=_ONE, cf=_ZERO, df=_ZERO, p_nc=submodel(m, m.tables, _ONE), p_sc=None
         )
     # restrictions[i][g]: the entry of context i that assignment g lands on
     restrictions = [restriction(h.measurements, c, m.outcomes) for c in h.contexts]

@@ -288,6 +288,23 @@ def test_vorobyev_subcommand_paths(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_vorobyev_parses_a_model_file_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "pr_box.json"
+    path.write_text(model_to_json(SCENARIOS["pr-box"][1]()))
+    parses = []
+    loads = json.loads
+
+    def counting(text, **kwargs):
+        parses.append(text)
+        return loads(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    code, out, _ = run(capsys, "vorobyev", str(path), "--json")
+    monkeypatch.undo()
+    assert code == 0 and len(parses) == 1
+    assert json.loads(out)["acyclic"] is False
+
+
 def test_interference_orders(capsys, tmp_path):
     path = emit(capsys, tmp_path, "two-slit", "--param", "phase=0")
     code, out, _ = run(capsys, "interference", path, "--json")

@@ -299,24 +299,28 @@ def presolved_rows(lp, rows, rhs):
     return sorted(kept)
 
 
-def fraction_simplex(lp, presolve=True):
-    """Reference solver: the two-phase Bland simplex on a tableau of
-    Fractions, where every pivot recomputes every other row over every
-    column.  With ``presolve`` the tableau holds only the rows of
-    :func:`presolved_rows`, and the certificate is 0 on the others; without
-    it every row enters, and rows left without a real pivot after phase 1
-    are dropped.  Returns its solution and the (row, column) of every
-    pivot."""
+def slack_startable(lp):
+    """True when every row is ``<=`` with b >= 0 or ``>=`` with b < 0: after
+    the sign fix each has its own slack column with coefficient +1."""
+    return all(
+        (op == "<=" and b >= 0) or (op == ">=" and b < 0)
+        for op, b in zip(lp._ops, lp._rhs)
+    )
+
+
+def fraction_simplex(lp, presolve=True, artificial_start=False):
+    """Reference solver: the Bland simplex on a tableau of Fractions, where
+    every pivot recomputes every other row over every column.  A program
+    that is :func:`slack_startable` starts phase 2 from its slack basis,
+    unless ``artificial_start`` asks for phase 1 from all artificial
+    columns, the start of every other program.  With ``presolve`` the
+    tableau holds only the rows of :func:`presolved_rows`, and the
+    certificate is 0 on the others; without it every row enters, and rows
+    left without a real pivot after phase 1 are dropped.  Returns its
+    solution and the (row, column) of every pivot."""
     rows, rhs, width = lp._standard_form()
     rows = [[row.get(j, F(0)) for j in range(width)] for row in rows]
     stored = dict(eq_matrix=tuple(map(tuple, rows)), eq_rhs=tuple(rhs))
-    entered = presolved_rows(lp, rows, rhs) if presolve else list(range(len(rows)))
-    m = len(entered)
-    tableau = [
-        list(rows[i]) + [F(int(k == a)) for a in range(m)] + [rhs[i]]
-        for k, i in enumerate(entered)
-    ]
-    basis = [width + k for k in range(m)]
     path = []
 
     def pivot(row, col):
@@ -345,30 +349,41 @@ def fraction_simplex(lp, presolve=True):
                 return False
             pivot(min(ratios)[2], entering)
 
-    tableau.append(
-        [-sum((r[j] for r in tableau), F(0)) for j in range(width)]
-        + [F(0)] * m
-        + [-sum((r[-1] for r in tableau), F(0))]
-    )
-    assert bland(width + m), "feasibility phase cannot be unbounded"
-    if tableau[m][-1] < 0:
-        cert = [F(0)] * len(rows)
-        for k, i in enumerate(entered):
-            cert[i] = tableau[m][width + k] - 1
-        return LpSolution("infeasible", None, certificate=tuple(cert), **stored), path
+    if slack_startable(lp) and not artificial_start:
+        tableau = [row + [b] for row, b in zip(rows, rhs)]
+        basis = [len(lp._names) + i for i in range(len(rows))]
+    else:
+        entered = presolved_rows(lp, rows, rhs) if presolve else list(range(len(rows)))
+        m = len(entered)
+        tableau = [
+            list(rows[i]) + [F(int(k == a)) for a in range(m)] + [rhs[i]]
+            for k, i in enumerate(entered)
+        ]
+        basis = [width + k for k in range(m)]
+        tableau.append(
+            [-sum((r[j] for r in tableau), F(0)) for j in range(width)]
+            + [F(0)] * m
+            + [-sum((r[-1] for r in tableau), F(0))]
+        )
+        assert bland(width + m), "feasibility phase cannot be unbounded"
+        if tableau[m][-1] < 0:
+            cert = [F(0)] * len(rows)
+            for k, i in enumerate(entered):
+                cert[i] = tableau[m][width + k] - 1
+            return LpSolution("infeasible", None, certificate=tuple(cert), **stored), path
 
-    drop = []
-    for i in range(m):
-        if basis[i] >= width:
-            j = next((j for j in range(width) if tableau[i][j] != 0), None)
-            if j is None:
-                drop.append(i)
-            else:
-                pivot(i, j)
-    keep = [i for i in range(m) if i not in drop]
-    tableau[:] = [tableau[i][:width] + [tableau[i][-1]] for i in keep]
-    basis[:] = [basis[i] for i in keep]
-    m = len(keep)
+        drop = []
+        for i in range(m):
+            if basis[i] >= width:
+                j = next((j for j in range(width) if tableau[i][j] != 0), None)
+                if j is None:
+                    drop.append(i)
+                else:
+                    pivot(i, j)
+        keep = [i for i in range(m) if i not in drop]
+        tableau[:] = [tableau[i][:width] + [tableau[i][-1]] for i in keep]
+        basis[:] = [basis[i] for i in keep]
+    m = len(tableau)
 
     sign = -1 if lp.sense == "max" else 1
     cost = [sign * c for c in lp._objective] + [F(0)] * (width - len(lp._names))
@@ -495,9 +510,51 @@ def test_integer_simplex_matches_fraction_simplex_on_fraction_lps(model):
     # fraction LP of its agreeing part
     m = model()
     programs = programs_solved_by(fractions_with_disturbance, m)
-    assert len(programs) == (2 if detect_disturbance(m) else 1)
+    # the disturbance LP has equality rows, so it keeps the all-artificial
+    # start; every fraction LP starts from its slacks
+    starts = [slack_startable(lp) for lp in programs]
+    assert starts == ([False, True] if detect_disturbance(m) else [True])
     for lp in programs:
         assert_same_path(lp)
+
+
+slack_startable_lps = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                st.sampled_from(["<=", ">="]),
+                st.integers(0, 6),
+            ).map(lambda c: (c[0], c[1], c[2] if c[1] == "<=" else -1 - c[2])),
+            min_size=0,
+            max_size=5,
+        ),
+        st.sampled_from(["max", "min"]),
+    )
+)
+
+
+@settings(max_examples=80)
+@given(slack_startable_lps)
+def test_slack_start_agrees_with_the_artificial_start(case):
+    # every row is <= with b >= 0 or >= with b < 0: the slack basis is
+    # feasible, and the package never runs phase 1
+    objective, constraints, sense = case
+    rows = [c[0] for c in constraints]
+    ops = [c[1] for c in constraints]
+    rhs = [c[2] for c in constraints]
+    lp, _ = build(objective, rows, ops, rhs, sense)
+    assert slack_startable(lp)
+
+    def no_phase_one(*args):
+        raise AssertionError("phase 1 ran on a slack-startable program")
+
+    with patch.object(LinearProgram, "_phase_one", no_phase_one):
+        ours = lp.solve()
+    ref, _ = fraction_simplex(lp, artificial_start=True)
+    assert ours.status == ref.status != "infeasible"
+    assert ours.objective == ref.objective
 
 
 @pytest.mark.parametrize(

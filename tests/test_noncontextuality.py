@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from contextua import linalg, noncontextuality
 from contextua.core_model import (
     EmpiricalModel,
     GptFragment,
+    submodel,
     OperationalEquivalence,
     effect_equivalences,
     probability,
     state_equivalences,
 )
 from contextua.disturbance import fractions_with_disturbance
+from contextua.lp import LinearProgram
 from contextua.noncontextuality import (
     DisturbingModelError,
+    FractionReport,
     Limits,
     ScaleCapError,
     assert_nondisturbing,
@@ -47,7 +51,8 @@ from contextua.scenarios import (
     random_nondisturbing_model,
     two_party_model_from_fragment,
 )
-from contextua.vorobyev import CompatibilityHypergraph
+from contextua.vorobyev import CompatibilityHypergraph, is_acyclic
+from test_lp import programs_solved_by
 
 # -- expensive shared results ------------------------------------------------
 
@@ -709,6 +714,72 @@ def test_fraction_rejects_disturbing_input():
         contextual_fraction(m)
     with pytest.raises(DisturbingModelError):
         assert_nondisturbing(m)
+
+
+def global_assignment_report(m):
+    """The fraction report of ``m`` from its global-assignment LP, built and
+    read here: w_g >= 0 per global assignment g, each table entry capping
+    the weight that restricts to it."""
+    names = m.hypergraph.measurements
+    globals_ = list(product(*(range(m.outcomes[x]) for x in names)))
+    lp = LinearProgram("max")
+    for g in range(len(globals_)):
+        lp.add_variable(f"w{g}", 1)
+    lands = []
+    for context in m.hypergraph.contexts:
+        local = list(product(*(range(m.outcomes[x]) for x in context)))
+        positions = [names.index(x) for x in context]
+        lands.append([local.index(tuple(g[p] for p in positions)) for g in globals_])
+    for table, land in zip(m.tables, lands):
+        for k, value in enumerate(table):
+            lp.add_constraint({f"w{g}": 1 for g, e in enumerate(land) if e == k}, "<=", value)
+    solution = lp.solve()
+    masses = []
+    for table, land in zip(m.tables, lands):
+        mass = [Fraction(0)] * len(table)
+        for g, k in enumerate(land):
+            mass[k] += solution.assignment[f"w{g}"]
+        masses.append(mass)
+    remainder = [[p - x for p, x in zip(t, mass)] for t, mass in zip(m.tables, masses)]
+    ncf = solution.objective
+    return FractionReport(
+        ncf, 1 - ncf, Fraction(0), submodel(m, masses, ncf), submodel(m, remainder, 1 - ncf)
+    )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_acyclic_shortcut_equals_the_global_assignment_lp(seed):
+    m = SCENARIOS["random-acyclic-model"][1](seed=seed)
+    report = contextual_fraction(m)
+    assert (report.ncf, report.p_sc) == (1, None)
+    assert report == global_assignment_report(m)
+    assert repr(report) == repr(global_assignment_report(m))
+
+
+def test_acyclic_shortcut_solves_no_lp():
+    # 8 measurements, 1296 global assignments: the LP took 37 s
+    h = random_acyclic_hypergraph(Random(1), max_measurements=8)
+    m = random_nondisturbing_model(h, Random(101))
+    assert math.prod(m.outcomes.values()) == 1296
+
+    def refuse(lp):
+        raise AssertionError("an acyclic model needs no LP")
+
+    with patch.object(LinearProgram, "solve", refuse):
+        report = contextual_fraction(m)
+    assert (report.ncf, report.cf, report.df) == (1, 0, 0)
+    assert report.p_nc == m and report.p_sc is None
+
+
+@pytest.mark.parametrize(
+    "model",
+    [chsh_quantum, kcbs_quantum, pr_box, lambda: pr_cycle(4), lambda: pr_cycle(5)],
+    ids=["chsh", "kcbs", "pr-box", "pr-4-cycle", "pr-5-cycle"],
+)
+def test_cyclic_models_solve_one_fraction_lp(model):
+    m = model()
+    assert not is_acyclic(m.hypergraph)
+    assert len(programs_solved_by(contextual_fraction, m)) == 1
 
 
 def test_fraction_scale_cap():
