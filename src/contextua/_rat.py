@@ -115,15 +115,30 @@ def list_in(x, what: str) -> list:
     return x
 
 
-def object_in(x, what: str, keys) -> dict:
-    """A JSON object whose keys all lie in ``keys``.  Any other key is
-    refused, quoted through :func:`excerpt`, where a reader would drop it."""
+def name_in(x, what: str) -> str:
+    if type(x) is not str:  # JSON strings only: names are hashed and sorted
+        raise ValueError(f"{what} holds {excerpt(json.dumps(x))}, not a JSON string")
+    return x
+
+
+def object_in(x, what: str, keys=None) -> dict:
+    """A JSON object whose keys all lie in ``keys``, when given.  Any other
+    key is refused, quoted through :func:`excerpt`, where a reader would
+    drop it."""
     if type(x) is not dict:
         raise ValueError(f"{what} is not a JSON object")
     for key in x:
-        if key not in keys:
+        if keys is not None and key not in keys:
             raise ValueError(f"{what} has an unknown key {excerpt(key)!r}")
     return x
+
+
+def key_in(x: dict, key: str, what: str):
+    """The value of ``key`` in the JSON object ``x``; a missing key is
+    refused, naming ``what`` and the key."""
+    if key not in x:
+        raise ValueError(f"{what} has no key {excerpt(key)!r}")
+    return x[key]
 
 
 def format_rational(value: Fraction) -> str:

@@ -18,7 +18,10 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from . import ddg
-from ._rat import excerpt, format_rational, json_in, list_in, object_in, parse_rational, rationals
+from ._rat import (
+    excerpt, format_rational, json_in, key_in, list_in, name_in, object_in,
+    parse_rational, rationals,
+)
 from .connection import (
     build_object_complex,
     curvature,
@@ -79,8 +82,7 @@ def _load(parser_fn, path: str, what: str):
         return parser_fn(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        # AttributeError: a JSON value of the wrong type, such as null masses
+    except ValueError as exc:
         raise ValueError(f"bad {what} file {path}: {exc}") from exc
 
 
@@ -90,11 +92,13 @@ def _parse_hypergraph(text: str) -> CompatibilityHypergraph:
     if isinstance(doc, dict) and "hypergraph" in doc:
         return model_from_document(doc).hypergraph
     doc = object_in(doc, "a hypergraph", ("measurements", "contexts"))
+    measurements = list_in(key_in(doc, "measurements", "a hypergraph"), "measurements")
+    contexts = list_in(key_in(doc, "contexts", "a hypergraph"), "contexts")
     return CompatibilityHypergraph(
-        tuple(list_in(doc["measurements"], "measurements")),
+        tuple(name_in(m, "measurements") for m in measurements),
         tuple(
-            tuple(list_in(c, f"contexts[{i}]"))
-            for i, c in enumerate(list_in(doc["contexts"], "contexts"))
+            tuple(name_in(m, f"contexts[{i}]") for m in list_in(c, f"contexts[{i}]"))
+            for i, c in enumerate(contexts)
         ),
     )
 
@@ -182,8 +186,19 @@ _READERS = {
 }
 
 
+def _well_formed(f):
+    """``f``, refused when :func:`validate_fragment` finds a structural error,
+    since the dependence basis and the object complexes would otherwise
+    answer for vectors that do not fit the dimension."""
+    structural = validate_fragment(f).structural
+    if structural:
+        raise ValueError(f"fragment fails validation: {structural}")
+    return f
+
+
 def _decomposition(f, args, view: str):
     """The object complex of ``--kind`` and the split of its ``--values``."""
+    f = _well_formed(f)
     oc = build_object_complex(args.kind, f, equivalences(f, args.kind), view)
     if args.values is None:
         raise ValueError(
@@ -237,6 +252,7 @@ def _cmd_equivalences(f, args):
             for eq in eqs
         ]
 
+    f = _well_formed(f)
     report = {f"{kind}s": payload(equivalences(f, kind)) for kind in KINDS}
     return report, False
 
@@ -516,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exit 1 when the verdict is contextual/infeasible/disturbing")
         if p.get_default("capped"):
             p.add_argument("--scale-cap", type=int, metavar="N",
-                           help="raise every analysis size guard to N")
+                           help="set every analysis size guard to N")
     return parser
 
 

@@ -19,7 +19,9 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from ._rat import format_rational, int_in, json_in, list_in, object_in, rational_in
+from ._rat import (
+    format_rational, int_in, json_in, key_in, list_in, name_in, object_in, rational_in,
+)
 from .vorobyev import CompatibilityHypergraph
 
 Vec = tuple[Fraction, ...]
@@ -536,6 +538,13 @@ def submodel(model: EmpiricalModel, masses, weight: Fraction) -> EmpiricalModel 
     )
 
 
+def split(model: EmpiricalModel, masses, weight: Fraction):
+    """:func:`submodel` of ``masses`` at ``weight`` and of the remainder
+    ``tables - masses`` at ``1 - weight``."""
+    remainder = [[p - x for p, x in zip(t, xs)] for t, xs in zip(model.tables, masses)]
+    return submodel(model, masses, weight), submodel(model, remainder, 1 - weight)
+
+
 class DisturbingModelError(ValueError):
     """Model marginals disagree on a context intersection."""
 
@@ -543,15 +552,23 @@ class DisturbingModelError(ValueError):
 Finding = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], Fraction]
 
 
-def context_overlaps(h: CompatibilityHypergraph):
-    """Yield ``(i, j, shared)`` for every context pair i < j that shares
-    measurements, with ``shared`` in the hypergraph's measurement order."""
-    order = {name: k for k, name in enumerate(h.measurements)}
-    for i in range(len(h.contexts)):
+def agreement_rows(model: EmpiricalModel):
+    """Yield ``(i, j, shared, rows)`` for every context pair i < j that shares
+    measurements, ``shared`` in the hypergraph's measurement order.  Row k
+    pairs the flat positions of tables i and j that restrict to the k-th
+    joint outcome of ``shared``; the pair agrees exactly when each row's two
+    sums are equal."""
+    h, outcomes = model.hypergraph, model.outcomes
+    for i, a in enumerate(h.contexts):
         for j in range(i + 1, len(h.contexts)):
-            shared = set(h.contexts[i]) & set(h.contexts[j])
+            b = h.contexts[j]
+            shared = tuple(m for m in h.measurements if m in a and m in b)
             if shared:
-                yield i, j, tuple(sorted(shared, key=order.__getitem__))
+                rows = [([], []) for _ in model.assignments(shared)]
+                for side, context in enumerate((a, b)):
+                    for flat, pos in enumerate(restriction(context, shared, outcomes)):
+                        rows[pos][side].append(flat)
+                yield i, j, shared, rows
 
 
 def detect_disturbance(model: EmpiricalModel) -> list[Finding]:
@@ -562,10 +579,9 @@ def detect_disturbance(model: EmpiricalModel) -> list[Finding]:
     """
     contexts = model.hypergraph.contexts
     findings: list[Finding] = []
-    for i, j, shared in context_overlaps(model.hypergraph):
-        left = model.marginal(i, shared)
-        right = model.marginal(j, shared)
-        gap = max(abs(left[key] - right[key]) for key in left)
+    for i, j, shared, rows in agreement_rows(model):
+        a, b = model.tables[i], model.tables[j]
+        gap = max(abs(sum(a[p] for p in ps) - sum(b[q] for q in qs)) for ps, qs in rows)
         if gap > 0:
             findings.append((contexts[i], contexts[j], shared, gap))
     return findings
@@ -615,23 +631,26 @@ _FRAGMENT_KEYS = (
 def fragment_from_json(text: str) -> GptFragment:
     payload = object_in(json_in(text), "a fragment", _FRAGMENT_KEYS)
 
-    def rows(field: str) -> tuple[Vec, ...]:
+    def field(name: str):
+        return key_in(payload, name, "a fragment")
+
+    def rows(name: str) -> tuple[Vec, ...]:
         return tuple(
-            _rationals_in(v, f"{field}[{i}]")
-            for i, v in enumerate(list_in(payload[field], field))
+            _rationals_in(v, f"{name}[{i}]")
+            for i, v in enumerate(list_in(field(name), name))
         )
 
     return GptFragment(
-        dimension=int_in(payload["dimension"], "dimension"),
+        dimension=int_in(field("dimension"), "dimension"),
         states=rows("states"),
         effects=rows("effects"),
-        unit_effect=_rationals_in(payload["unit_effect"], "unit_effect"),
+        unit_effect=_rationals_in(field("unit_effect"), "unit_effect"),
         measurements=tuple(
             tuple(
                 int_in(r, "effect index")
                 for r in list_in(m, f"measurements[{i}]")
             )
-            for i, m in enumerate(list_in(payload["measurements"], "measurements"))
+            for i, m in enumerate(list_in(field("measurements"), "measurements"))
         ),
         transformations=tuple(
             tuple(
@@ -663,19 +682,25 @@ def model_from_json(text: str) -> EmpiricalModel:
 def model_from_document(doc) -> EmpiricalModel:
     """The model of an already parsed model file."""
     payload = object_in(doc, "a model", ("hypergraph", "outcomes", "tables"))
+    hypergraph = list_in(key_in(payload, "hypergraph", "a model"), "hypergraph")
     contexts = tuple(
-        tuple(list_in(c, f"hypergraph[{i}]"))
-        for i, c in enumerate(list_in(payload["hypergraph"], "hypergraph"))
+        tuple(name_in(m, f"hypergraph[{i}]") for m in list_in(c, f"hypergraph[{i}]"))
+        for i, c in enumerate(hypergraph)
     )
     measurements = tuple(sorted({m for c in contexts for m in c}))
     keys = [str(i) for i in range(len(contexts))]
-    tables = object_in(payload["tables"], "tables", keys)
-    outcomes = object_in(payload["outcomes"], "outcomes", measurements)
+    tables = object_in(key_in(payload, "tables", "a model"), "tables", keys)
+    outcomes = object_in(
+        key_in(payload, "outcomes", "a model"), "outcomes", measurements
+    )
     return EmpiricalModel(
         hypergraph=CompatibilityHypergraph(measurements, contexts),
         outcomes={
             k: int_in(v, f"measurement {k!r} outcome count")
             for k, v in outcomes.items()
         },
-        tables=tuple(_rationals_in(tables[key], f'tables["{key}"]') for key in keys),
+        tables=tuple(
+            _rationals_in(key_in(tables, key, "tables"), f'tables["{key}"]')
+            for key in keys
+        ),
     )

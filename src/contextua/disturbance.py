@@ -16,11 +16,11 @@ from typing import Mapping
 from . import ddg
 from .connection import ConnectionDecomposition, ObjectComplex, decompose_cochain
 from .core_model import (
+    DisturbingModelError,
     EmpiricalModel,
-    context_overlaps,
+    agreement_rows,
     detect_disturbance,
-    restriction,
-    submodel,
+    split,
 )
 from .lp import LinearProgram
 from .noncontextuality import FractionReport, Limits, contextual_fraction
@@ -100,13 +100,16 @@ def fractions_with_disturbance(
 ) -> FractionReport:
     """Fraction report with the disturbing weight split off first.
 
-    The disturbing fraction is one minus the largest sub-mass that all
+    :func:`contextual_fraction`'s non-disturbance check chooses the branch.
+    Past it, the disturbing fraction is one minus the largest sub-mass that all
     contexts can shed while agreeing on every shared marginal (an exact LP);
     the noncontextual/contextual split of the agreeing part is then rescaled
     so the three weights sum to one exactly.
     """
-    if not detect_disturbance(model):
+    try:
         return contextual_fraction(model, limits=limits)
+    except DisturbingModelError:
+        pass
 
     h = model.hypergraph
     program = LinearProgram(sense="max")
@@ -123,15 +126,10 @@ def fractions_with_disturbance(
         program.add_constraint(
             {**{var: 1 for var in row}, "t": -1}, "=", 0
         )
-    for i, j, shared in context_overlaps(h):
-        # one agreement row per joint outcome of the shared measurements
-        rows: list[dict[str, Fraction]] = [{} for _ in model.assignments(shared)]
-        for ctx_index, sign in ((i, 1), (j, -1)):
-            positions = restriction(h.contexts[ctx_index], shared, model.outcomes)
-            for var, pos in zip(names[ctx_index], positions):
-                rows[pos][var] = sign
-        for row in rows:
-            program.add_constraint(row, "=", 0)
+    for i, j, _, rows in agreement_rows(model):
+        for ps, qs in rows:  # sum of u_i over ps - sum of u_j over qs = 0
+            coeffs = {**{names[i][p]: 1 for p in ps}, **{names[j][q]: -1 for q in qs}}
+            program.add_constraint(coeffs, "=", 0)
     solution = program.solve()
     if solution.status != "optimal":
         raise AssertionError(
@@ -142,12 +140,7 @@ def fractions_with_disturbance(
         tuple(solution.assignment.get(var, Fraction(0)) for var in row)
         for row in names
     )
-    remainder = [
-        [p - u for p, u in zip(table, mass)]
-        for table, mass in zip(model.tables, common)
-    ]
-    leftover = submodel(model, remainder, 1 - t)
-    agreeing = submodel(model, common, t)
+    agreeing, leftover = split(model, common, t)
     if agreeing is None:
         return FractionReport(
             Fraction(0), Fraction(0), Fraction(1), None, None, p_d=leftover

@@ -10,7 +10,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from ._rat import excerpt, format_rational, json_in, list_in, object_in, rational_in
+from ._rat import (
+    excerpt, format_rational, json_in, key_in, list_in, object_in, rational_in,
+)
 from .connection import ConnectionDecomposition, ObjectComplex
 from .linalg import Matrix, transpose
 
@@ -281,10 +283,12 @@ def measure_to_json(m: EventMeasure) -> str:
 
 def measure_from_json(text: str) -> EventMeasure:
     payload = object_in(json_in(text), "a measure", ("atoms", "masses"))
+    entries = object_in(key_in(payload, "masses", "a measure"), "masses")
     masses = {}
-    for key, value in payload["masses"].items():
+    for key, value in entries.items():
         event = _parse_event_key(key)
         if event in masses:
             raise ValueError(f"event key {excerpt(key)!r} repeats an earlier key's event")
         masses[event] = rational_in(value, f"mass of {excerpt(key)!r}")
-    return EventMeasure(tuple(list_in(payload["atoms"], "atoms")), masses)
+    atoms = list_in(key_in(payload, "atoms", "a measure"), "atoms")
+    return EventMeasure(tuple(atoms), masses)

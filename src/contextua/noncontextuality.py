@@ -30,6 +30,7 @@ from .core_model import (
     equivalences,
     probability,
     restriction,
+    split,
     state_equivalences,
     submodel,
     validate_fragment,
@@ -365,17 +366,12 @@ def contextual_fraction(
             rows[flat][f"w_{g}"] = _ONE
         for row, value in zip(rows, table):
             program.add_constraint(row, "<=", value)
-    if not h.contexts:
-        # each context's table caps the total weight at 1; with none, the
-        # single (empty) global assignment needs that cap stated
-        program.add_constraint({"w_0": _ONE}, "<=", _ONE)
     solution = program.solve()
     if solution.status != "optimal":
         raise AssertionError(
             "the zero mixture is feasible and the total weight is bounded"
         )
     ncf = solution.objective
-    cf = 1 - ncf
 
     masses = []
     for table, column in zip(m.tables, restrictions):
@@ -383,11 +379,8 @@ def contextual_fraction(
         for g, flat in enumerate(column):
             mass[flat] += solution.assignment[f"w_{g}"]
         masses.append(mass)
-    remainder = [
-        [p - x for p, x in zip(table, mass)] for table, mass in zip(m.tables, masses)
-    ]
-    p_nc, p_sc = submodel(m, masses, ncf), submodel(m, remainder, cf)
-    return FractionReport(ncf=ncf, cf=cf, df=_ZERO, p_nc=p_nc, p_sc=p_sc)
+    p_nc, p_sc = split(m, masses, ncf)
+    return FractionReport(ncf=ncf, cf=1 - ncf, df=_ZERO, p_nc=p_nc, p_sc=p_sc)
 
 
 # ---------------------------------------------------------------------------

@@ -817,6 +817,25 @@ def test_rational_text_and_json_lists_load(capsys, tmp_path, command, doc):
          "a hypergraph has an unknown key 'context'"),
         ("vorobyev", dict(SPLIT_MODEL, outcomes={"a": 2, "b": 2, "c": 2}),
          "outcomes has an unknown key 'c'"),
+        # a key every reader needs is named when it is missing
+        ("nc-check", {k: v for k, v in CLASSICAL_BIT.items() if k != "measurements"},
+         "a fragment has no key 'measurements'"),
+        ("fraction", {k: v for k, v in SPLIT_MODEL.items() if k != "tables"},
+         "a model has no key 'tables'"),
+        ("fraction", dict(SPLIT_MODEL, tables={}), "tables has no key '0'"),
+        ("interference", {"atoms": ["a", "b"]}, "a measure has no key 'masses'"),
+        ("vorobyev", {"measurements": ["a"]}, "a hypergraph has no key 'contexts'"),
+        # masses are keyed by event, so they form a JSON object
+        ("interference", dict(TWO_ATOMS, masses=[["a", 1]]), "masses is not a JSON object"),
+        # a measurement is named by a JSON string
+        ("fraction", dict(SPLIT_MODEL, hypergraph=[[["a"], "b"]]),
+         'hypergraph[0] holds ["a"], not a JSON string'),
+        ("vorobyev", {"measurements": ["a", "b"], "contexts": [[["a"], "b"]]},
+         'contexts[0] holds ["a"], not a JSON string'),
+        ("vorobyev", {"measurements": [["a"], "b"], "contexts": [["a", "b"]]},
+         'measurements holds ["a"], not a JSON string'),
+        ("vorobyev", {"measurements": [1], "contexts": [[1]]},
+         "measurements holds 1, not a JSON string"),
     ],
 )
 def test_malformed_entries_exit_2_naming_the_field(
@@ -1076,6 +1095,42 @@ def test_scale_cap_flag_is_scoped(capsys, tmp_path, command, scenario, cap):
     assert code == 2 and "--scale-cap must be positive" in err
     # the cap holds for that one run: the next run has the default limits
     assert run(capsys, name, path, *flags, "--json")[0] == 0
+
+
+def test_a_scale_cap_under_a_default_guard_lowers_it(capsys, tmp_path):
+    """``--scale-cap N`` sets every size guard to N: under the default 4096
+    global assignments it refuses the PR box's 16, which the default admits."""
+    path = emit(capsys, tmp_path, "pr-box")
+    code, out, _ = run(capsys, "fraction", path, "--json")
+    assert code == 0 and json.loads(out)["cf"] == "1"
+    code, out, err = run(capsys, "fraction", path, "--scale-cap", "8")
+    assert (code, out) == (2, "")
+    assert err == "input error: scale cap exceeded: scale cap: more than 8 global assignments\n"
+    code, out, _ = run(capsys, "fraction", "--help")
+    assert code == 0 and "--scale-cap N  set every analysis size guard to N\n" in out
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("equivalences", ()),
+        ("decompose", ("--values", "1")),
+        ("curvature", ("--values", "1")),
+        ("phases", ("--values", "1")),
+    ],
+)
+def test_a_fragment_with_a_shape_error_is_refused(capsys, tmp_path, command, flags):
+    """A state shorter than the dimension is refused in one line, as nc-check
+    refuses it, where these subcommands used to answer; validate reports it."""
+    doc = {"dimension": 2, "states": [[1]], "effects": [], "unit_effect": [1, 1],
+           "measurements": []}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == "input error: fragment fails validation: ['state 0 has length 1']\n"
+    code, out, _ = run(capsys, "validate", str(path), "--json")
+    assert code == 0 and json.loads(out)["structural"] == ["state 0 has length 1"]
 
 
 #: Each subcommand's positionals and option strings, in parser order, after

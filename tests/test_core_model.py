@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -17,6 +18,7 @@ from contextua.core_model import (
     OnticRepresentation,
     OperationalEquivalence,
     additive_effect_triples,
+    agreement_rows,
     apply_matrix,
     dot,
     effect_equivalences,
@@ -186,6 +188,22 @@ def test_validation_catches_structural_and_invariant_problems():
     )
     assert validate_fragment(missing_effect).structural
 
+    for dimension in (0, -1):
+        report = validate_fragment(GptFragment(dimension, ((F(1),),), (), (F(1),), ()))
+        assert (report.structural, report.violations) == (["dimension must be positive"], [])
+
+    bit = classical_simplex(2)
+    for matrix in (
+        ((F(1), F(0)),),
+        ((F(1), F(0)), (F(0),)),
+        ((F(1), F(0), F(0)), (F(0), F(1), F(0))),
+    ):
+        report = validate_fragment(GptFragment(
+            bit.dimension, bit.states, bit.effects, bit.unit_effect, bit.measurements,
+            (matrix,),
+        ))
+        assert report.structural == ["transformation 0 has the wrong shape"]
+
 
 def test_probability_index_errors():
     f = GptFragment(
@@ -221,6 +239,13 @@ def test_find_equivalences_spans_the_kernel(vectors):
         assert all(x == 0 for x in zero), f"combination {zero} is not zero"
         first = min(eq.coefficients)
         assert eq.coefficients[first] == 1
+
+
+def test_find_equivalences_refuses_no_vectors_and_unequal_lengths():
+    with pytest.raises(ValueError, match="need at least one vector"):
+        find_equivalences([])
+    with pytest.raises(ValueError, match="vectors must share a dimension"):
+        find_equivalences([(F(1), F(0)), (F(1),)])
 
 
 def test_unit_and_complement_dependency():
@@ -373,6 +398,41 @@ def test_verify_ontic_rejects_bad_shapes():
     )
     with pytest.raises(ValueError):
         verify_ontic(f, rep, [])
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"lambda_count": 0}, "lambda_count must be positive"),
+        ({"state_distributions": ()}, "one distribution per state required"),
+        ({"state_distributions": ((F(1),),) * 2},
+         "state distribution rows must have lambda_count entries"),
+        ({"effect_responses": ((F(1), F(0)),)}, "one response row per effect required"),
+        ({"effect_responses": ((F(1),), (F(0), F(1)))},
+         "effect response rows must have lambda_count entries"),
+        ({"transition_kernels": ()}, "one kernel per transformation required"),
+        ({"transition_kernels": (((F(1), F(0)),),)}, "kernels must be lambda_count square"),
+    ],
+    ids=["lambda-count", "distributions", "distribution-row", "responses",
+         "response-row", "kernels", "kernel-shape"],
+)
+def test_verify_ontic_refuses_each_table_shape(change, message):
+    bit = classical_simplex(2)
+    f = GptFragment(
+        bit.dimension, bit.states, bit.effects, bit.unit_effect, bit.measurements,
+        (((F(0), F(1)), (F(1), F(0))),),
+    )
+    identity = ((F(1), F(0)), (F(0), F(1)))
+    tables = {
+        "lambda_count": 2,
+        "state_distributions": identity,
+        "effect_responses": identity,
+        "transition_kernels": (((F(0), F(1)), (F(1), F(0))),),
+    }
+    assert verify_ontic(f, OnticRepresentation(**tables), []).is_noncontextual
+    with pytest.raises(ValueError) as refusal:
+        verify_ontic(f, OnticRepresentation(**{**tables, **change}), [])
+    assert str(refusal.value) == message
 
 
 def test_verify_ontic_accepts_the_unit_effect_and_checks_normalisation():
@@ -610,6 +670,9 @@ def test_table_value_row_major_order():
     assert m.table_value(0, (1, 1)) == F(4, 10)
     with pytest.raises(ValueError):
         m.table_value(0, (0, 2))
+    for assignment in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="assignment length must match the context"):
+            m.table_value(0, assignment)
     with pytest.raises(ValueError):
         m.marginal(0, ("z",))
 
@@ -671,6 +734,42 @@ def test_marginal_matches_a_grouping_reference():
                     assert m.marginal(i, onto) == _grouped_marginal(m, i, onto)
 
 
+def test_agreement_rows_sum_to_the_shared_marginals():
+    """Row k's two sums are the two contexts' marginals at the k-th joint
+    outcome of the shared measurements, listed in measurement order."""
+    from contextua.scenarios import kcbs_quantum, nudged_box
+
+    rng = Random(5)
+    h = CompatibilityHypergraph(
+        ("a", "b", "c", "d"), (("c", "b", "a"), ("a", "c"), ("d",), ("b", "d"))
+    )
+    outcomes = {"a": 2, "b": 3, "c": 3, "d": 2}
+    tables = []
+    for context in h.contexts:
+        weights = [rng.randint(0, 5) for _ in range(math.prod(outcomes[x] for x in context))]
+        weights[0] += 1
+        tables.append([F(w, sum(weights)) for w in weights])
+    skewed = EmpiricalModel(h, outcomes, tables)
+    for m in (pr_box_model(), kcbs_quantum(), nudged_box(F(1, 4)), skewed):
+        contexts, order = m.hypergraph.contexts, m.hypergraph.measurements
+        pairs = []
+        for i, j, shared, rows in agreement_rows(m):
+            pairs.append((i, j))
+            assert shared == tuple(x for x in order if x in contexts[i] and x in contexts[j])
+            left, right = _grouped_marginal(m, i, shared), _grouped_marginal(m, j, shared)
+            keys = list(m.assignments(shared))
+            assert len(rows) == len(keys)
+            for key, (ps, qs) in zip(keys, rows):
+                assert sum(m.tables[i][p] for p in ps) == left[key]
+                assert sum(m.tables[j][q] for q in qs) == right[key]
+        assert pairs == [
+            (i, j)
+            for i in range(len(contexts))
+            for j in range(i + 1, len(contexts))
+            if set(contexts[i]) & set(contexts[j])
+        ]
+
+
 def test_model_validation_rejects_bad_tables():
     h = CompatibilityHypergraph(("x",), (("x",),))
     with pytest.raises(ValueError):
@@ -681,6 +780,9 @@ def test_model_validation_rejects_bad_tables():
         EmpiricalModel(h, {"x": 2}, ((F(1),),))
     with pytest.raises(ValueError):
         EmpiricalModel(h, {"x": 0}, ((F(1),),))
+    two = CompatibilityHypergraph(("x", "y"), (("x",), ("y",)))
+    with pytest.raises(ValueError, match="one table per context required"):
+        EmpiricalModel(two, {"x": 2, "y": 2}, ((F(1, 2), F(1, 2)),))
 
 
 def test_model_json_roundtrip():

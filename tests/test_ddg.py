@@ -352,6 +352,13 @@ def test_is_exact_verdicts():
     zero = is_exact(k, Cochain(1))
     assert zero.status == "exact"
     assert zero.potential is not None and zero.potential.is_zero
+    # nothing lies below degree 0: the zero 0-cochain is exact with no
+    # potential, and a closed nonzero one has none
+    assert is_exact(k, Cochain(0)) == ddg.PotentialResult("exact", None)
+    constant = Cochain(0, {(v,): Fraction(2, 3) for v in (1, 2, 3)})
+    assert is_exact(k, constant) == ddg.PotentialResult("no_potential")
+    spike = Cochain(0, {(4,): Fraction(-5)})
+    assert is_exact(SimplicialComplex([(1,), (4,)]), spike).status == "no_potential"
 
 
 def test_top_degree_zero_cochain_has_the_zero_potential():
@@ -371,6 +378,18 @@ def test_potential_is_pinned_at_component_roots():
     c = result.potential
     assert c[(1,)] == 0 and c[(7,)] == 0
     assert c[(2,)] == Fraction(1, 2) and c[(3,)] == Fraction(3, 2) and c[(8,)] == -2
+
+
+@pytest.mark.parametrize("kind", [Chain, Cochain])
+def test_scalar_multiples_and_negation(kind):
+    c = kind(1, {(1, 2): Fraction(1, 2), (3, 2): Fraction(-3)})
+    assert 2 * c == kind(1, {(1, 2): Fraction(1), (2, 3): Fraction(6)})
+    assert Fraction(-1, 3) * c == kind(1, {(1, 2): Fraction(-1, 6), (2, 3): Fraction(-1)})
+    zero = 0 * c
+    assert zero.is_zero and zero.degree == 1 and zero == kind(1)
+    assert -c == kind(1, {(2, 1): Fraction(1, 2), (2, 3): Fraction(-3)})
+    assert -(-c) == c and (c + -c).is_zero
+    assert -kind(0) == kind(0)
 
 
 def test_is_exact_on_a_complex_with_no_edges():

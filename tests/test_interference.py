@@ -239,6 +239,18 @@ def test_a_pure_state_is_a_projector_not_just_a_unit_purity_matrix():
         quantum_i2(rho, e, ep)
 
 
+def test_i3_refuses_overlapping_events():
+    m = additive_measure({"a": F(1, 4), "b": F(1, 4), "c": F(1, 2)})
+    with pytest.raises(ValueError, match="triple interference needs pairwise disjoint events"):
+        i3(m, {"a"}, {"a", "b"}, {"c"})
+
+
+def test_born_measure_refuses_a_state_without_unit_trace():
+    p = [[1, 0], [0, 0]]
+    with pytest.raises(ValueError, match="state must have unit trace"):
+        born_measure([[F(1, 2), 0], [0, F(1, 4)]], {"a": p})
+
+
 def test_born_measure_refuses_overlapping_projectors():
     p = [[1, 0], [0, 0]]
     with pytest.raises(ValueError, match="'a' and 'b' overlap"):
