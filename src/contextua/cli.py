@@ -11,6 +11,7 @@ analysis raises on its input), each with one line on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ from .connection import (
 )
 from .core_model import (
     KINDS,
+    ValidationReport,
     equivalences,
     fragment_from_json,
     fragment_to_json,
@@ -49,9 +51,7 @@ from .disturbance import (
 )
 from .interference import all_i2, all_i3, measure_from_json, measure_to_json
 from .noncontextuality import (
-    DisturbingModelError,
     Limits,
-    ScaleCapError,
     contextual_fraction,
     minimal_negativity,
     noncontextual_lp,
@@ -165,15 +165,6 @@ def _parse_params(name: str, pairs) -> dict:
     return params
 
 
-def _quoted(exc: Exception, params: dict) -> str:
-    """A factory's error message with each parameter key and value it spells
-    quoted by :func:`excerpt`: Python's own messages spell them whole."""
-    text = str(exc)
-    for part in [*params, *map(str, params.values())]:
-        text = text.replace(part, excerpt(part))
-    return text
-
-
 # -- shared pieces -----------------------------------------------------------
 
 #: The reader of each input file kind a subcommand may declare.
@@ -190,9 +181,7 @@ def _well_formed(f):
     """``f``, refused when :func:`validate_fragment` finds a structural error,
     since the dependence basis and the object complexes would otherwise
     answer for vectors that do not fit the dimension."""
-    structural = validate_fragment(f).structural
-    if structural:
-        raise ValueError(f"fragment fails validation: {structural}")
+    ValidationReport(validate_fragment(f).structural).refuse("fragment")
     return f
 
 
@@ -355,14 +344,16 @@ def _cmd_scenarios(_, args):
         )
     kind, factory = SCENARIOS[args.name]
     params = _parse_params(args.name, args.param)
+    accepted = inspect.signature(factory).parameters
+    for key in params:
+        if key not in accepted:
+            raise ValueError(
+                f"bad parameters for {args.name}: unknown parameter {excerpt(key)!r}"
+            )
     try:
         obj = factory(**params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for {args.name}: {_quoted(exc, params)}") from exc
     except (ValueError, OverflowError) as exc:  # a huge rational overflows a float
-        raise ValueError(
-            f"bad parameter value for {args.name}: {_quoted(exc, params)}"
-        ) from exc
+        raise ValueError(f"bad parameter value for {args.name}: {exc}") from exc
     serializer = {
         "fragment": fragment_to_json,
         "model": model_to_json,
@@ -569,12 +560,6 @@ def main(argv=None) -> int:
             args.limits = _limits(args)
         data = _load(_READERS[args.reads], args.file, args.reads) if args.reads else None
         report, bad = args.handler(data, args)
-    except ScaleCapError as exc:
-        print(f"input error: scale cap exceeded: {exc}", file=sys.stderr)
-        return 2
-    except DisturbingModelError as exc:
-        print(f"input error: disturbing model: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

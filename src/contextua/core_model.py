@@ -84,6 +84,12 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.structural and not self.violations
 
+    def refuse(self, what: str) -> None:
+        """Raise ``ValueError("{what} fails validation: [...]")``, listing every
+        problem, unless the report is ok."""
+        if not self.ok:
+            raise ValueError(f"{what} fails validation: {self.structural + self.violations}")
+
 
 def validate_fragment(f: GptFragment) -> ValidationReport:
     """Check shapes, normalization, probability ranges and completeness.
@@ -593,7 +599,8 @@ def assert_nondisturbing(m: EmpiricalModel) -> None:
     if findings:
         a, b, shared, _ = findings[0]
         raise DisturbingModelError(
-            f"contexts {a} and {b} disagree on their intersection {shared}"
+            f"disturbing model: contexts {a} and {b} disagree on their "
+            f"intersection {shared}"
         )
 
 

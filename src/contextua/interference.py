@@ -36,12 +36,15 @@ class EventMeasure:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         table = {frozenset(k): v for k, v in self.masses.items()}
         object.__setattr__(self, "masses", table)
+        known = set()
         for atom in self.atoms:
             if type(atom) is not str or not atom or "|" in atom or "," in atom:
                 raise ValueError(
                     f"atom {excerpt(repr(atom))} must be a non-empty string without '|' or ','"
                 )
-        known = set(self.atoms)
+            if atom in known:
+                raise ValueError(f"atom {excerpt(repr(atom))} is listed twice")
+            known.add(atom)
         for event, value in table.items():
             stray = set(event) - known
             if stray:

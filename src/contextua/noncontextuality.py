@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from . import linalg
 from .connection import build_object_complex, decompose, valuation_cochain
@@ -84,9 +83,13 @@ class ResponsePolytope:
 def _cut_vertices(dim, extras):
     """Vertex set of {t in [0, 1]^dim : a.t <= beta for (a, beta) in extras}.
 
-    Incremental double description seeded on the unit cube's corners.  Each
-    vertex carries its incidence (a bitmask of the constraints it lies on:
-    bit 2k + b for the cube face t_k = b, then one per cut) forward: a
+    Incremental double description seeded on the dim + 1 corners of the
+    simplex {t >= 0, sum t <= dim}, which contains the unit cube: the origin
+    and dim * e_k for each k.  The ``extras`` cut it first, and then the dim
+    cuts t_k <= 1; the unit cuts come last, because cutting the simplex by
+    them first would rebuild the cube's 2**dim corners.  Each vertex carries
+    its incidence (a bitmask of the constraints it lies on: bit k for the
+    face t_k = 0, bit dim for sum t = dim, then one per cut) forward: a
     surviving vertex gains at most the current cut, and a new vertex on the
     edge between i and j meets exactly the constraints the two share plus
     the cut.  Two vertices are adjacent when no third vertex lies on every
@@ -94,12 +97,14 @@ def _cut_vertices(dim, extras):
     lies on at least dim - 1 constraints, so a pair sharing fewer is no
     edge and skips that scan.
     """
-    points = []
-    zeros = []
-    for bits in product((0, 1), repeat=dim):
-        points.append(tuple((_ZERO, _ONE)[b] for b in bits))
-        zeros.append(sum(1 << (2 * k + b) for k, b in enumerate(bits)))
-    for label, (a, beta) in enumerate(extras, start=2 * dim):
+    faces = (1 << dim) - 1  # every t_k = 0
+    points = [(_ZERO,) * dim]
+    zeros = [faces]
+    for k in range(dim):
+        points.append(tuple(Fraction(dim) if j == k else _ZERO for j in range(dim)))
+        zeros.append((faces & ~(1 << k)) | (1 << dim))
+    units = [([_ONE if j == k else _ZERO for j in range(dim)], _ONE) for k in range(dim)]
+    for label, (a, beta) in enumerate([*extras, *units], start=dim + 1):
         bit = 1 << label
         margins = [sum(c * x for c, x in zip(a, p)) - beta for p in points]
         keep = [i for i, v in enumerate(margins) if v < 0]
@@ -146,9 +151,11 @@ def response_vertices(
 
     One reduction of the equality system ``[A | b]`` parametrises its
     solutions by the free coordinates t: x_free = t, and each pivot
-    coordinate is x_p = c_p - a_p.t.  The bounds 0 <= x_free <= 1 are then
-    the unit cube the enumeration seeds on, and each pivot row adds the two
-    cuts a_p.t <= c_p and -a_p.t <= 1 - c_p.
+    coordinate is x_p = c_p - a_p.t.  Each pivot row gives the two cuts
+    a_p.t <= c_p and -a_p.t <= 1 - c_p, and the bounds 0 <= x_free <= 1 are
+    the unit cube; :func:`_cut_vertices` seeds on a simplex around that cube
+    and adds the unit bounds last, so its work follows the vertices found,
+    not the cube's 2**d corners.
 
     The enumeration is memoised in-process on the exact equality system,
     for the :data:`POLYTOPE_MEMO_SIZE` most recently used systems; the
@@ -220,11 +227,7 @@ def _embedding_program(f: GptFragment, signed: bool, limits: Limits):
             "fragments with transformations are not supported by the "
             "embedding feasibility check"
         )
-    report = validate_fragment(f)
-    if not report.ok:
-        raise ValueError(
-            f"fragment fails validation: {report.structural + report.violations}"
-        )
+    validate_fragment(f).refuse("fragment")
     eqs_states = state_equivalences(f)
     polytope = response_vertices(f, limits=limits)
     if polytope.is_empty:

@@ -49,12 +49,7 @@ def _check_model(m: EmpiricalModel) -> EmpiricalModel:
 
 
 def _check_fragment(f: GptFragment) -> GptFragment:
-    report = validate_fragment(f)
-    if not report.ok:
-        raise ValueError(
-            "generated fragment fails validation: "
-            f"{report.structural + report.violations}"
-        )
+    validate_fragment(f).refuse("generated fragment")
     return f
 
 
@@ -65,7 +60,7 @@ def _check_fragment(f: GptFragment) -> GptFragment:
 def classical_simplex(n: int) -> GptFragment:
     """Simplex theory on ``n`` outcomes: corner states, coordinate effects."""
     if n < 2:
-        raise ValueError(f"need at least two outcomes, got {n}")
+        raise ValueError(f"need at least two outcomes, got {excerpt(str(n))}")
     states = tuple(
         tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(n)
     )
@@ -787,7 +782,7 @@ SCENARIOS: dict[str, tuple[str, object]] = {
     "classical-simplex": ("fragment", _classical_simplex_cli),
     "gbit": ("fragment", gbit),
     "halving": ("fragment", halving_fragment),
-    "qubit": ("fragment", qubit_fragment),
+    "qubit": ("fragment", lambda: qubit_fragment()),  # a --param is no vector list
     "pr-box-fragment": ("fragment", pr_box_fragment),
     "noisy-pr-fragment": ("fragment", noisy_pr_fragment),
     "pr-box": ("model", pr_box),

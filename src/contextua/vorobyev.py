@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import ddg
+from ._rat import excerpt
 
 if TYPE_CHECKING:  # pragma: no cover
     from .connection import ObjectComplex
@@ -31,6 +32,11 @@ class CompatibilityHypergraph:
         object.__setattr__(
             self, "contexts", tuple(tuple(c) for c in self.contexts)
         )
+        listed = set()
+        for m in self.measurements:
+            if m in listed:
+                raise ValueError(f"measurement {excerpt(repr(m))} is listed twice")
+            listed.add(m)
         seen = set()
         for context in self.contexts:
             if len(set(context)) != len(context):
@@ -40,7 +46,7 @@ class CompatibilityHypergraph:
                 raise ValueError(f"duplicate context {context}")
             seen.add(key)
             for m in context:
-                if m not in self.measurements:
+                if m not in listed:
                     raise ValueError(f"context {context} uses unknown measurement {m!r}")
         covered = {m for c in self.contexts for m in c}
         missing = [m for m in self.measurements if m not in covered]

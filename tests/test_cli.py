@@ -474,6 +474,12 @@ def test_sweep_csv_and_worker_determinism(capsys, tmp_path):
         code, out, err = run(capsys, "sweep", "disturbance-gap", "--workers", workers)
         assert code == 2 and out == "" and "--workers" in err
         assert len(err.splitlines()) == 1
+    missing = tmp_path / "missing" / "rows.csv"
+    code, out, err = run(
+        capsys, "sweep", "disturbance-gap", "--points", "0", "--emit-csv", str(missing)
+    )
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith(f"input error: cannot write {missing}: ")
 
 
 @pytest.fixture
@@ -836,6 +842,11 @@ def test_rational_text_and_json_lists_load(capsys, tmp_path, command, doc):
          'measurements holds ["a"], not a JSON string'),
         ("vorobyev", {"measurements": [1], "contexts": [[1]]},
          "measurements holds 1, not a JSON string"),
+        # a name listed twice is refused, not read as one
+        ("vorobyev", {"measurements": ["a", "a"], "contexts": [["a"]]},
+         "measurement 'a' is listed twice"),
+        ("interference", {"atoms": ["a", "a"], "masses": {"a": 1}},
+         "atom 'a' is listed twice"),
     ],
 )
 def test_malformed_entries_exit_2_naming_the_field(
@@ -982,7 +993,7 @@ def test_a_nan_phase_emits_no_two_slit_measure(capsys):
         (["two-slit", "--param", "phase=abc"], "phase: Invalid literal for Fraction: 'abc'"),
         (["chsh-quantum", "--param", "a0=inf"], "a0: Invalid literal for Fraction: 'inf'"),
         (["classical-simplex", "--param", "n=5", "--param", "n=2"], "--param names 'n' twice"),
-        (["gbit", "--param", "seed=7"], "unexpected keyword argument 'seed'"),
+        (["gbit", "--param", "seed=7"], "bad parameters for gbit: unknown parameter 'seed'"),
         (["random-fragment", "--param", "seed=1/2"], "seed must be a whole number"),
     ],
     ids=["exponent", "text", "infinity", "repeated-key", "seed-elsewhere", "half-seed"],
@@ -1089,7 +1100,7 @@ def test_scale_cap_flag_is_scoped(capsys, tmp_path, command, scenario, cap):
     path = emit(capsys, tmp_path, scenario)
     name, *flags = command
     code, _, err = run(capsys, name, path, *flags, "--scale-cap", cap)
-    assert code == 2 and "scale cap exceeded" in err
+    assert code == 2 and err.startswith("input error: scale cap: ")
     missing = str(tmp_path / "missing.json")
     code, _, err = run(capsys, name, missing, *flags, "--scale-cap", "0")
     assert code == 2 and "--scale-cap must be positive" in err
@@ -1105,7 +1116,7 @@ def test_a_scale_cap_under_a_default_guard_lowers_it(capsys, tmp_path):
     assert code == 0 and json.loads(out)["cf"] == "1"
     code, out, err = run(capsys, "fraction", path, "--scale-cap", "8")
     assert (code, out) == (2, "")
-    assert err == "input error: scale cap exceeded: scale cap: more than 8 global assignments\n"
+    assert err == "input error: scale cap: more than 8 global assignments\n"
     code, out, _ = run(capsys, "fraction", "--help")
     assert code == 0 and "--scale-cap N  set every analysis size guard to N\n" in out
 

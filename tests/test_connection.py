@@ -294,6 +294,20 @@ def test_zero_phases_iff_flat_on_every_cell(setup):
         assert disk_integral(oc, curv, i) == phases[eq_id]
 
 
+def test_decomposition_disk_and_phase_refuse_the_wrong_degree_or_index():
+    f = bit_fragment()
+    oc = build_object_complex("effect", f, effect_equivalences(f), "geometrical")
+    dec = decompose(oc, valuation_cochain(oc, bit_rep(), 0))
+    curv = curvature(oc, dec)
+    with pytest.raises(ValueError, match="valuations have degree 1, got 2"):
+        decompose_cochain(oc.complex, ddg.Cochain(2))
+    for index in (-1, len(oc.disks)):
+        with pytest.raises(ValueError, match=f"no loop {index}"):
+            disk_integral(oc, curv, index)
+    with pytest.raises(ValueError, match="phases pair with degree-1 chains"):
+        phase(dec, ddg.Chain(2))
+
+
 def test_curvature_rejects_topological_view():
     f = bit_fragment()
     oc = build_object_complex("effect", f, effect_equivalences(f), "topological")

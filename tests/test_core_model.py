@@ -139,6 +139,11 @@ def test_dot_is_the_fraction_sum(vectors):
     assert total == sum((F(x) * F(y) for x, y in zip(a, b)), F(0))
 
 
+def test_dot_refuses_vectors_of_unequal_length():
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        dot((F(1), F(2)), (F(1), F(2), F(3)))
+
+
 @settings(max_examples=50)
 @given(classical_fragments())
 def test_transformed_probabilities_in_range(f):

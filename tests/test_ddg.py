@@ -392,6 +392,61 @@ def test_scalar_multiples_and_negation(kind):
     assert -kind(0) == kind(0)
 
 
+@pytest.mark.parametrize("kind", [Chain, Cochain])
+def test_int_values_and_a_simplex_named_in_two_orders(kind):
+    c = kind(1, {(1, 2): 3})
+    assert c[(1, 2)] == 3 and type(c[(1, 2)]) is Fraction
+    # (1, 2) and (2, 1) name one simplex: the values add, each with its sign
+    assert kind(1, {(1, 2): 5, (2, 1): 2}) == kind(1, {(1, 2): 3})
+    assert kind(1, {(2, 1): 2, (1, 2): 5}) == kind(1, {(1, 2): 3})
+    assert kind(1, {(2, 1): Fraction(1, 2), (1, 2): Fraction(-1, 2)}) == kind(1, {(2, 1): 1})
+    assert kind(1, {(1, 2): 2, (2, 1): 2}).is_zero
+
+
+def test_complexes_compare_and_print_by_their_simplices():
+    k = SimplicialComplex([(3, 1, 2)])
+    assert k == SimplicialComplex([(1, 2), (2, 3), (1, 3), (1, 2, 3)])
+    assert k != hollow_triangle() and k != (1, 2, 3)
+    assert repr(k) == "SimplicialComplex({0: 3, 1: 3, 2: 1})"
+    assert repr(SimplicialComplex([])) == "SimplicialComplex({})"
+
+
+def test_graded_maps_refuse_what_they_cannot_hold():
+    k = SimplicialComplex([(1, 2, 3)])
+    edge = Chain(1, {(1, 2): 1})
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        Chain(-1)
+    with pytest.raises(ValueError, match=r"simplex \(1, 2, 3\) does not have degree 1"):
+        Cochain(1, {(1, 2, 3): 1})
+    with pytest.raises(ValueError, match="degree or type mismatch"):
+        edge + Cochain(1, {(1, 2): 1})
+    with pytest.raises(ValueError, match="degree or type mismatch"):
+        edge - Chain(2, {(1, 2, 3): 1})
+    with pytest.raises(ValueError, match="boundary of a degree-0 chain"):
+        boundary(k, Chain(0, {(1,): 1}))
+    with pytest.raises(ValueError, match=r"simplex \(1, 4\) not in complex"):
+        boundary(k, Chain(1, {(1, 4): 1}))
+
+
+def test_cohomology_basis_in_a_degree_with_no_simplices_is_empty():
+    assert cohomology_basis(hollow_triangle(), 2) == []
+    assert cohomology_basis(SimplicialComplex([(1, 2, 3)]), 5) == []
+
+
+def test_one_face_of_the_hollow_tetrahedron_is_closed_but_not_exact():
+    sphere = SimplicialComplex(
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    )
+    face = Cochain(2, {(0, 1, 2): 1})
+    assert coboundary(sphere, face).is_zero
+    assert is_exact(sphere, face) == ddg.PotentialResult("no_potential")
+    # these two values cancel on the fundamental cycle, so a potential exists
+    pair_of_faces = Cochain(2, {(0, 1, 2): 1, (0, 1, 3): 1})
+    found = is_exact(sphere, pair_of_faces)
+    assert found.status == "exact"
+    assert coboundary(sphere, found.potential) == pair_of_faces
+
+
 def test_is_exact_on_a_complex_with_no_edges():
     result = is_exact(SimplicialComplex([(1,), (4,)]), Cochain(1))
     assert result.status == "exact" and result.potential.is_zero

@@ -149,6 +149,10 @@ def test_independent_rows_of_nothing_and_of_zero_rows():
     assert linalg.independent_rows([{0: 1}, {}, {0: Fraction(-1, 2)}]) == [2]
 
 
+def test_nullspace_of_no_rows_is_empty():
+    assert linalg.nullspace([]) == []
+
+
 def test_nullspace_ordering_is_by_free_column():
     # columns 0 and 1 are pivots, 2 and 3 free
     m = [

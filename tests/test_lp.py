@@ -261,6 +261,15 @@ def test_exact_rational_data_stays_exact():
     assert sol.objective == F(1, 3) * F(15, 22)
 
 
+def test_an_optimal_solution_has_no_farkas_certificate_to_check():
+    lp = LinearProgram("min")
+    lp.add_variable("x", 1)
+    lp.add_constraint({"x": 1}, ">=", 1)
+    sol = lp.solve()
+    assert sol.status == "optimal" and sol.certificate is None
+    assert sol.certificate_checks() is False
+
+
 def test_builder_validation():
     lp = LinearProgram("max")
     lp.add_variable("x")

@@ -314,6 +314,22 @@ def test_scale_caps_raise_early():
         response_vertices(many)
 
 
+def test_the_widest_simplex_under_the_cap_gives_its_unit_vectors():
+    """classical_simplex(20) has 19 free coordinates but only 20 vertices,
+    which the simplex seed finds without visiting the cube's 2**19 corners."""
+    noncontextuality._polytope.cache_clear()
+    vertices = response_vertices(classical_simplex(20)).vertices
+    units = {tuple(Fraction(int(i == j)) for j in range(20)) for i in range(20)}
+    assert len(vertices) == 20 and set(vertices) == units
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_with_no_cut_the_enumeration_gives_the_cube_corners(dim):
+    corners = noncontextuality._cut_vertices(dim, [])
+    assert sorted(corners) == sorted(product((Fraction(0), Fraction(1)), repeat=dim))
+    assert all(type(x) is Fraction for corner in corners for x in corner)
+
+
 def test_a_noise_sweep_enumerates_its_polytope_once(monkeypatch):
     """The polytope depends on the effects alone, so every weight of the
     noisy extremal box reuses the first weight's enumeration."""
