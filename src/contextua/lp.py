@@ -1,20 +1,46 @@
-"""Exact rational linear programming via the simplex method with Bland's rule.
+"""Exact rational linear programming: a float proposal that exact
+arithmetic certifies, and the simplex method with Bland's rule.
 
 All variables are nonnegative; callers split free variables themselves.
 Infeasible problems come back with a Farkas certificate against the stored
 sign-fixed standard form: certificate . matrix >= 0 componentwise while
 certificate . rhs < 0, all exact.
 
-The tableau holds rows of Python ints, each over its own positive
-denominator, so a row stands for ``ints / den``: every entry is exactly the
-rational a tableau of stdlib Fractions would hold.  Bland's rule reads only
-signs and ratios, and the ints give both directly.  The entering column is
-the first negative objective int.  A row's ratio b/a has the same value in
-its ints (the row's denominator cancels), and two ratios compare by cross
-multiplication.  Phase 1 finds the problem infeasible exactly when the
-objective's rhs int is negative.  So every pivot, the assignment and the
-Farkas certificate are those of the Fraction tableau; Fractions appear only
-in the standard form read in and in the numbers handed out.
+Floats propose, exact arithmetic decides (Applegate, Cook, Dash &
+Espinoza, Oper. Res. Lett. 35, 2007; Gleixner, Steffy & Wolter, INFORMS J.
+Comput. 28, 2016).  A program whose rows are all equalities (the embedding
+and negativity LPs of :mod:`contextua.noncontextuality`) first goes through
+``_propose``: a dense two-phase Dantzig simplex in plain floats, with a
+1e-9 tolerance, on the rows the presolve keeps.  It hands back a basis B
+and a claim, and ``LinearProgram._certify`` checks them exactly, one
+:func:`contextua.linalg.solve` per system:
+
+- feasible: ``B x_B = b`` gives x_B >= 0 with every basic artificial 0;
+- optimal, for a nonzero cost: also ``B^T y = c_B`` with ``c - A^T y >= 0``,
+  so no feasible point costs less than ``y.b = c.x``;
+- infeasible: the phase-1 duals y (``B^T y`` = 1 on the artificials) give
+  the Farkas vector -y, 0 on the dropped rows, which must pass
+  ``certificate_checks``.
+
+Only that check decides the answer.  The exact Bland path below runs when
+the proposal fails (a number beyond the float range, the pivot cap, an
+unbounded phase 2, an inconsistent system or a failed check) and on every
+other program: the contextual-fraction LPs (all ``<=``) and the
+disturbance LP (``=`` and ``<=`` rows), whose optimal vertex is printed.
+Both paths give the same status and objective; the optimal vertex and the
+Farkas vector may differ.
+
+On the Bland path the tableau holds rows of Python ints, each over its own
+positive denominator, so a row stands for ``ints / den``: every entry is
+exactly the rational a tableau of stdlib Fractions would hold.  Bland's
+rule reads only signs and ratios, and the ints give both directly.  The
+entering column is the first negative objective int.  A row's ratio b/a
+has the same value in its ints (the row's denominator cancels), and two
+ratios compare by cross multiplication.  Phase 1 finds the problem
+infeasible exactly when the objective's rhs int is negative.  So every
+pivot, the assignment and the Farkas certificate are those of the Fraction
+tableau; Fractions appear only in the standard form read in and in the
+numbers handed out.
 
 Constraints are kept sparse, as nonzero coefficients by column, and
 ``_standard_form`` adds the slacks and the sign fix to them once; ``solve``
@@ -62,6 +88,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
+from . import linalg
 from .linalg import independent_rows, lowest_terms, over_lcm, pivot
 
 _ZERO = Fraction(0)
@@ -89,24 +116,29 @@ class LpSolution:
         """Exact Farkas re-verification: cert.A >= 0 componentwise, cert.b < 0.
 
         Replays the certificate against ``eq_matrix``/``eq_rhs`` alone, in
-        ints: each row scaled by the lcm of its denominators, every term
-        brought over the lcm of those, and the certificate over the lcm of
-        its own, none of which changes a sign.
+        ints (:func:`_combination`).
         """
         if self.status != "infeasible" or self.certificate is None:
             return False
-        ys, _ = over_lcm(self.certificate)
-        terms = [
-            (y, *over_lcm(row + (b,)))
-            for y, row, b in zip(ys, self.eq_matrix, self.eq_rhs)
-            if y
-        ]
-        common = lcm(*(den for _, _, den in terms))
-        sums = [0] * (len(self.eq_matrix[0]) + 1)
-        for y, ints, den in terms:
-            w = y * (common // den)
-            sums = [s + w * x for s, x in zip(sums, ints)]
+        sums = _combination(
+            self.certificate, [(*row, b) for row, b in zip(self.eq_matrix, self.eq_rhs)]
+        )
         return all(s >= 0 for s in sums[:-1]) and sums[-1] < 0
+
+
+def _combination(weights, rows) -> list[int]:
+    """``sum_k weights[k] * rows[k]`` times one positive number, in ints:
+    each row scaled by the lcm of its denominators, every term brought over
+    the lcm of those, and the weights over the lcm of their own, none of
+    which changes a sign."""
+    ws, _ = over_lcm(weights)
+    terms = [(w, *over_lcm(row)) for w, row in zip(ws, rows) if w]
+    common = lcm(*(den for _, _, den in terms))
+    sums = [0] * len(rows[0])
+    for w, ints, den in terms:
+        w *= common // den
+        sums = [s + w * x for s, x in zip(sums, ints)]
+    return sums
 
 
 class LinearProgram:
@@ -185,6 +217,20 @@ class LinearProgram:
         )
         m = len(kept)
 
+        # the program's objective, internally minimized
+        sign = -_ONE if self.sense == "max" else _ONE
+        cost = [sign * c for c in self._objective]
+
+        # an all-equality program takes the float proposal first, and takes
+        # its answer only when the proposed basis passes the exact checks
+        if set(self._ops) == {"="}:
+            solution = self._certify(
+                _propose([eq_matrix[i] for i in kept], [rhs[i] for i in kept], cost),
+                cost, eq_matrix, rhs, kept, stored,
+            )
+            if solution is not None:
+                return solution
+
         # slack start: when every row has its own slack column with
         # coefficient +1 (so no equality row), those columns form a basis
         # with B^-1 b = b >= 0, and phase 2 starts from it
@@ -218,9 +264,7 @@ class LinearProgram:
                     raise AssertionError("Farkas certificate failed self-check")
                 return solution
 
-        # phase 2: the program's objective, internally minimized
-        sign = -_ONE if self.sense == "max" else _ONE
-        cost = [sign * c for c in self._objective]
+        # phase 2
         self._price(tableau, dens, basis, cost + [_ZERO] * (width - len(cost) + 1))
         if not self._run_simplex(tableau, dens, basis, width):
             return LpSolution("unbounded", None, **stored)
@@ -232,6 +276,61 @@ class LinearProgram:
         minimized = -Fraction(tableau[m][-1], dens[m])
         objective = -minimized if self.sense == "max" else minimized
         return LpSolution("optimal", objective, assignment, **stored)
+
+    def _certify(self, proposal, cost, eq_matrix, rhs, kept, stored):
+        """The answer that a proposed basis certifies exactly, or None.
+
+        ``proposal`` is None or ``(claim, basis)`` from :func:`_propose`:
+        basis position k holds kept row k's basic column, ``len(cost) + k``
+        being that row's artificial, and B is the kept rows on those
+        columns.  "infeasible" stands when -y, for ``B^T y`` = the phase-1
+        costs (1 on an artificial, 0 elsewhere) and 0 on the dropped rows,
+        passes ``certificate_checks``.  "optimal" stands when ``B x_B = b``
+        is consistent, x_B >= 0 and every basic artificial is 0, so x is
+        feasible; and, for a nonzero ``cost``, when ``B^T y = c_B`` is
+        consistent and ``cost - A^T y >= 0``, so that every feasible x'
+        costs at least ``y.b = c.x``.  Each system is one exact
+        elimination (:func:`contextua.linalg.solve`).
+        """
+        if proposal is None:
+            return None
+        claim, basis = proposal
+        m, width = len(kept), len(cost)
+        if len(basis) != m or len(set(basis)) != m or not all(
+            0 <= j < width + m for j in basis
+        ):
+            return None
+        columns = [
+            [eq_matrix[i][j] if j < width else _ONE if j == width + k else _ZERO
+             for k, i in enumerate(kept)]
+            for j in basis
+        ]
+        if claim == "infeasible":
+            y = linalg.solve(columns, [_ONE if j >= width else _ZERO for j in basis], m)
+            if y is None:
+                return None
+            certificate = [_ZERO] * len(eq_matrix)
+            for i, value in zip(kept, y):
+                certificate[i] = -value
+            solution = LpSolution("infeasible", None, certificate=tuple(certificate), **stored)
+            return solution if solution.certificate_checks() else None
+
+        x = linalg.solve([list(row) for row in zip(*columns)], [rhs[i] for i in kept], m)
+        if x is None or any(v < 0 or (v and j >= width) for j, v in zip(basis, x)):
+            return None
+        if any(cost):
+            y = linalg.solve(columns, [cost[j] if j < width else _ZERO for j in basis], m)
+            if y is None:
+                return None
+            reduced = _combination([_ONE, *(-v for v in y)], [cost, *(eq_matrix[i] for i in kept)])
+            if any(r < 0 for r in reduced):
+                return None
+        values = [_ZERO] * width
+        for j, v in zip(basis, x):
+            if j < width:
+                values[j] = v
+        objective = sum((c * v for c, v in zip(self._objective, values)), _ZERO)
+        return LpSolution("optimal", objective, dict(zip(self._names, values)), **stored)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -323,3 +422,103 @@ class LinearProgram:
             if leaving < 0:
                 return False
             cls._pivot(tableau, dens, basis, leaving, entering)
+
+
+# ---------------------------------------------------------------------------
+# the float proposal
+
+#: Tolerance of the float proposal: entries, reduced costs and phase-1 mass
+#: at or below it count as zero.  Only the proposal reads it.
+_TOLERANCE = 1e-9
+
+
+def _propose(rows, rhs, cost):
+    """A basis for ``min cost.x`` on ``rows x = rhs``, x >= 0, every rhs
+    >= 0, by a dense two-phase Dantzig simplex in floats.
+
+    Returns ``("infeasible", basis)`` when phase 1 ends with artificial
+    mass, ``("optimal", basis)`` otherwise, and None when a number does not
+    fit a float, the pivots run out or phase 2 is unbounded.  Basis position
+    k is row k's basic column, ``len(cost) + k`` being row k's artificial.
+    The floats decide nothing: ``LinearProgram._certify`` checks the basis
+    exactly.
+    """
+    m, width = len(rows), len(cost)
+    try:
+        tableau = [
+            [float(x) if x else 0.0 for x in row] + [float(b)]
+            for row, b in zip(rows, rhs)
+        ]
+        costs = [float(c) if c else 0.0 for c in cost] + [0.0]
+    except OverflowError:
+        return None
+    basis = [width + k for k in range(m)]
+    pivots = 20 * (m + width)
+
+    # phase 1: minimize the artificial total, each artificial column
+    # priced out (the tableau holds none: a leaving artificial never enters)
+    phase_one = [0.0] * (width + 1)
+    for row in tableau:
+        phase_one = [o - x for o, x in zip(phase_one, row)]
+    tableau.append(phase_one)
+    pivots = _dantzig(tableau, basis, width, pivots)
+    if pivots is None:
+        return None
+    if -tableau[m][-1] > _TOLERANCE:
+        return "infeasible", basis
+    tableau.pop()
+    # artificials left at zero leave on the largest real entry of their row
+    for i in range(m):
+        if basis[i] >= width:
+            j = max(range(width), key=lambda j: abs(tableau[i][j]), default=None)
+            if j is not None and abs(tableau[i][j]) > _TOLERANCE:
+                _float_pivot(tableau, basis, i, j)
+    if not any(costs):
+        return "optimal", basis
+
+    # phase 2: cost - sum c_B * row
+    objective = list(costs)
+    for row, j in zip(tableau, basis):
+        c = costs[j] if j < width else 0.0
+        if c:
+            objective = [o - c * x for o, x in zip(objective, row)]
+    tableau.append(objective)
+    if _dantzig(tableau, basis, width, pivots) is None:
+        return None
+    return "optimal", basis
+
+
+def _dantzig(tableau, basis, width, pivots):
+    """Minimize the last row in floats: the most negative reduced cost
+    enters, and among the rows within tolerance of the least ratio the one
+    with the largest entry leaves.  Returns the pivots left, or None when
+    unbounded or when ``pivots`` run out."""
+    m = len(tableau) - 1
+    while True:
+        obj = tableau[m]
+        entering = min(range(width), key=obj.__getitem__, default=None)
+        if entering is None or obj[entering] >= -_TOLERANCE:
+            return pivots
+        candidates = [
+            (max(row[-1], 0.0) / row[entering], row[entering], i)
+            for i, row in enumerate(tableau[:m])
+            if row[entering] > _TOLERANCE
+        ]
+        if not candidates or not pivots:
+            return None
+        least = min(ratio for ratio, _, _ in candidates) + _TOLERANCE
+        _, _, leaving = max(c for c in candidates if c[0] <= least)
+        _float_pivot(tableau, basis, leaving, entering)
+        pivots -= 1
+
+
+def _float_pivot(tableau, basis, row, col):
+    """One Gauss-Jordan step at (row, col) in floats, plus the basis update."""
+    pivot_row = tableau[row]
+    p = pivot_row[col]
+    pivot_row = tableau[row] = [x / p for x in pivot_row]
+    for i, other in enumerate(tableau):
+        f = other[col]
+        if f and i != row:
+            tableau[i] = [x - f * y for x, y in zip(other, pivot_row)]
+    basis[row] = col

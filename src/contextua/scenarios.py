@@ -452,6 +452,7 @@ def two_slit_measure(phase=0) -> EventMeasure:
     """Two paths of equal amplitude at relative ``phase``: masses 1/2, 1/2 and
     |psi_a + psi_b|^2 = 1 + cos(phase), the cosine rationalized once as
     :func:`chsh_quantum` rationalizes its correlators."""
+    phase = _as_float("phase", phase)
     if not math.isfinite(phase):
         raise ValueError(f"phase {phase} is not finite")
     half, join = Fraction(1, 2), 1 + rationalize(math.cos(phase))
@@ -739,6 +740,15 @@ def random_ontic_table(
 CLASSICAL_SIMPLEX_CLI_MAX = 64
 
 
+def _as_float(name: str, value) -> float:
+    """``value`` as a float; a rational beyond the float range is refused
+    by ``name``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float range") from None
+
+
 def _whole(name: str, value) -> int:
     if value != int(value):
         raise ValueError(f"{name} must be a whole number")
@@ -771,8 +781,8 @@ def _random_acyclic_model_cli(seed=0) -> EmpiricalModel:
 def _chsh_cli(a0=None, a1=None, b0=None, b1=None) -> EmpiricalModel:
     defaults = TSIRELSON_ANGLES
     angles = tuple(
-        float(v) if v is not None else d
-        for v, d in zip((a0, a1, b0, b1), defaults)
+        _as_float(name, v) if v is not None else d
+        for name, v, d in zip(("a0", "a1", "b0", "b1"), (a0, a1, b0, b1), defaults)
     )
     return chsh_quantum(angles)
 

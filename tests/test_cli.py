@@ -1004,6 +1004,15 @@ def test_param_values_are_rationals_given_once(capsys, argv, complaint):
     assert complaint in err and argv[0] in err
 
 
+@pytest.mark.parametrize(
+    "name, param", [("chsh-quantum", "a0"), ("two-slit", "phase")]
+)
+def test_a_param_beyond_float_range_is_refused_by_name(capsys, name, param):
+    code, out, err = run(capsys, "scenarios", "emit", name, "--param", f"{param}=1e400")
+    assert code == 2 and not out and len(err.splitlines()) == 1
+    assert err.endswith(f"for {name}: {param} is beyond the float range\n")
+
+
 def test_random_scenarios_take_their_seed_as_a_param(capsys):
     seeded = run(capsys, "scenarios", "emit", "random-fragment", "--param", "seed=7")
     assert seeded[0] == 0 and seeded != run(capsys, "scenarios", "emit", "random-fragment")

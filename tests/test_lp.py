@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from random import Random
 from unittest.mock import patch
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.optimize import linprog
 
 from contextua.disturbance import detect_disturbance, fractions_with_disturbance
 from contextua.linalg import rank
+from contextua import lp as lp_module
 from contextua.lp import LinearProgram, LpSolution
 from contextua.noncontextuality import Limits, _embedding_program
 from contextua.scenarios import (
@@ -16,8 +18,11 @@ from contextua.scenarios import (
     gbit,
     halving_fragment,
     kcbs_quantum,
+    noisy_pr_fragment,
     nudged_box,
+    pr_box_fragment,
     qubit_fragment,
+    random_fragment,
 )
 
 
@@ -224,7 +229,9 @@ def test_implied_rows_leave_the_tableau_but_not_the_stored_form():
     assert {row for row, _ in path} == {0}
     # with every row entered, phase 1 leaves an artificial on a row with no
     # real entry: the full-rank invariant fails loudly instead
-    with patch("contextua.lp.independent_rows", lambda rows: list(range(len(rows)))):
+    with exact_path(), patch(
+        "contextua.lp.independent_rows", lambda rows: list(range(len(rows)))
+    ):
         with pytest.raises(AssertionError, match="implied by the others"):
             lp.solve()
 
@@ -413,8 +420,15 @@ def fraction_simplex(lp, presolve=True, artificial_start=False):
     ), path
 
 
+def exact_path():
+    """Patches the float proposal off, so ``solve`` takes the exact Bland
+    path on every program."""
+    return patch("contextua.lp._propose", lambda *args: None)
+
+
 def solve_recording(lp):
-    """``lp.solve()`` and the (row, column) of every pivot it takes."""
+    """``lp.solve()`` on the exact path and the (row, column) of every pivot
+    it takes."""
     path = []
     pivot = LinearProgram._pivot
 
@@ -422,7 +436,7 @@ def solve_recording(lp):
         path.append((row, col))
         pivot(tableau, dens, basis, row, col)
 
-    with patch.object(LinearProgram, "_pivot", staticmethod(recorded)):
+    with exact_path(), patch.object(LinearProgram, "_pivot", staticmethod(recorded)):
         return lp.solve(), path
 
 
@@ -632,3 +646,101 @@ def test_declaration_order_and_explicit_zeros_leave_the_solution_alone(
     for other in (declared_as_needed(), declared_first(zeros=True)):
         assert other == reference
         assert repr(other) == repr(reference)
+
+
+# -- the float proposal: floats propose a basis, exact arithmetic decides ----
+
+
+def solve_both_ways(lp):
+    """``lp.solve()`` as it runs, whether phase 1 of the exact path ran in
+    it, and ``lp.solve()`` on the exact path."""
+    calls = []
+    phase_one = LinearProgram._phase_one.__func__
+
+    def spied(cls, *args):
+        calls.append(args)
+        return phase_one(cls, *args)
+
+    with patch.object(LinearProgram, "_phase_one", classmethod(spied)):
+        solution = lp.solve()
+    with exact_path():
+        exact = lp.solve()
+    return solution, bool(calls), exact
+
+
+#: The proposal as shipped, for the lies below to start from.
+honest = lp_module._propose
+
+
+def flipped(rows, rhs, cost):
+    # the honest basis of a feasible program, called infeasible
+    claim, basis = honest(rows, rhs, cost)
+    assert claim == "optimal"
+    return "infeasible", basis
+
+
+def phase_one_only(rows, rhs, cost):
+    # a feasible basis that phase 2 never improved, called optimal
+    return honest(rows, rhs, [F(0)] * len(cost))
+
+
+def singular(rows, rhs, cost):
+    # columns 0 and 1 of a signed embedding LP are pos_0_0 and neg_0_0,
+    # one the negative of the other
+    return "optimal", list(range(len(rows)))
+
+
+@pytest.mark.parametrize(
+    "lie, fragment, signed",
+    [
+        (flipped, qubit_fragment, False),
+        (phase_one_only, pr_box_fragment, True),
+        (singular, gbit, True),
+        (singular, pr_box_fragment, True),
+    ],
+    ids=["infeasible-on-feasible", "non-optimal", "singular-gbit", "singular-pr-box"],
+)
+def test_a_lying_proposal_decides_nothing(lie, fragment, signed):
+    lp = _embedding_program(fragment(), signed, Limits())
+    with patch("contextua.lp._propose", lie):
+        solution, fell_back, exact = solve_both_ways(lp)
+    # the exact checks refuse the lie, and the exact path answers: status,
+    # objective, vertex and Farkas vector are its own
+    assert fell_back
+    assert solution == exact
+
+
+def test_a_coefficient_beyond_float_range_falls_back():
+    lp, _ = build([1, 1], [[10**400, 1], [1, -1]], ["=", "="], [1, 0], sense="min")
+    rows, rhs, _ = lp._standard_form()
+    assert lp_module._propose(
+        [[row.get(j, F(0)) for j in range(2)] for row in rows], rhs, [F(1), F(1)]
+    ) is None
+    solution, fell_back, exact = solve_both_ways(lp)
+    assert fell_back
+    assert solution == exact
+    assert solution.objective == 2 / F(10**400 + 1)
+
+
+differential_fragments = [
+    ("gbit", gbit),
+    ("halving", halving_fragment),
+    ("qubit", qubit_fragment),
+    ("pr-box", pr_box_fragment),
+    ("noisy-pr-1/2", lambda: noisy_pr_fragment(F(1, 2))),
+] + [(f"random-{k}", lambda k=k: random_fragment(Random(k))) for k in range(50)]
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize(
+    "fragment", [f for _, f in differential_fragments],
+    ids=[name for name, _ in differential_fragments],
+)
+def test_the_certified_proposal_agrees_with_the_exact_path(fragment, signed):
+    lp = _embedding_program(fragment(), signed, Limits())
+    solution, fell_back, exact = solve_both_ways(lp)
+    assert not fell_back
+    assert (solution.status, solution.objective) == (exact.status, exact.objective)
+    assert (solution.eq_matrix, solution.eq_rhs) == (exact.eq_matrix, exact.eq_rhs)
+    if solution.status == "infeasible":
+        assert solution.certificate_checks()
