@@ -25,10 +25,12 @@ and a claim, and ``LinearProgram._certify`` checks them exactly, one
 Only that check decides the answer.  The exact Bland path below runs when
 the proposal fails (a number beyond the float range, the pivot cap, an
 unbounded phase 2, an inconsistent system or a failed check) and on every
-other program: the contextual-fraction LPs (all ``<=``) and the
-disturbance LP (``=`` and ``<=`` rows), whose optimal vertex is printed.
-Both paths give the same status and objective; the optimal vertex and the
-Farkas vector may differ.
+other program: the contextual-fraction LPs (all ``<=``), which it solves
+faster, and the disturbance LP, whose vertex ``disturbance --fractions``
+prints.  It only finds a basis: ``_certify`` builds every Farkas vector,
+from an infeasible phase 1's basis too, and ``_optimum`` every optimum.
+Both paths give the same status and objective; the vertex and the Farkas
+vector may differ.
 
 On the Bland path the tableau holds rows of Python ints, each over its own
 positive denominator, so a row stands for ``ints / den``: every entry is
@@ -38,9 +40,8 @@ entering column is the first negative objective int.  A row's ratio b/a
 has the same value in its ints (the row's denominator cancels), and two
 ratios compare by cross multiplication.  Phase 1 finds the problem
 infeasible exactly when the objective's rhs int is negative.  So every
-pivot, the assignment and the Farkas certificate are those of the Fraction
-tableau; Fractions appear only in the standard form read in and in the
-numbers handed out.
+pivot and the assignment are those of the Fraction tableau; Fractions
+appear only in the standard form read in and in the numbers handed out.
 
 Constraints are kept sparse, as nonzero coefficients by column, and
 ``_standard_form`` adds the slacks and the sign fix to them once; ``solve``
@@ -217,9 +218,10 @@ class LinearProgram:
         )
         m = len(kept)
 
-        # the program's objective, internally minimized
+        # the program's objective, internally minimized, on every column
         sign = -_ONE if self.sense == "max" else _ONE
-        cost = [sign * c for c in self._objective]
+        n = len(self._names)
+        cost = [sign * c for c in self._objective] + [_ZERO] * (width - n)
 
         # an all-equality program takes the float proposal first, and takes
         # its answer only when the proposed basis passes the exact checks
@@ -234,7 +236,6 @@ class LinearProgram:
         # slack start: when every row has its own slack column with
         # coefficient +1 (so no equality row), those columns form a basis
         # with B^-1 b = b >= 0, and phase 2 starts from it
-        n = len(self._names)
         slack_start = "=" not in self._ops and all(
             row[n + i] == 1 for i, row in enumerate(rows)
         )
@@ -257,32 +258,25 @@ class LinearProgram:
             basis = [n + i for i in range(m)]
         else:
             basis = [width + k for k in range(m)]
-            infeasible = self._phase_one(tableau, dens, basis, width, kept, len(rows))
-            if infeasible is not None:
-                solution = LpSolution("infeasible", None, certificate=infeasible, **stored)
-                if not solution.certificate_checks():
+            if self._phase_one(tableau, dens, basis, width):
+                solution = self._certify(("infeasible", basis), cost, eq_matrix, rhs, kept, stored)
+                if solution is None:
                     raise AssertionError("Farkas certificate failed self-check")
                 return solution
 
         # phase 2
-        self._price(tableau, dens, basis, cost + [_ZERO] * (width - len(cost) + 1))
+        self._price(tableau, dens, basis, cost + [_ZERO])
         if not self._run_simplex(tableau, dens, basis, width):
             return LpSolution("unbounded", None, **stored)
-
-        values = [_ZERO] * width
-        for i in range(m):
-            values[basis[i]] = Fraction(tableau[i][-1], dens[i])
-        assignment = dict(zip(self._names, values))
-        minimized = -Fraction(tableau[m][-1], dens[m])
-        objective = -minimized if self.sense == "max" else minimized
-        return LpSolution("optimal", objective, assignment, **stored)
+        return self._optimum(basis, [Fraction(t[-1], d) for t, d in zip(tableau[:m], dens)], stored)
 
     def _certify(self, proposal, cost, eq_matrix, rhs, kept, stored):
         """The answer that a proposed basis certifies exactly, or None.
 
-        ``proposal`` is None or ``(claim, basis)`` from :func:`_propose`:
-        basis position k holds kept row k's basic column, ``len(cost) + k``
-        being that row's artificial, and B is the kept rows on those
+        ``proposal`` is None or ``(claim, basis)``, from :func:`_propose` or
+        an infeasible Bland phase 1: basis position k holds kept row k's
+        basic column, ``len(cost) + k`` being that row's artificial (``cost``
+        spans every standard-form column), and B is the kept rows on those
         columns.  "infeasible" stands when -y, for ``B^T y`` = the phase-1
         costs (1 on an artificial, 0 elsewhere) and 0 on the dropped rows,
         passes ``certificate_checks``.  "optimal" stands when ``B x_B = b``
@@ -325,33 +319,38 @@ class LinearProgram:
             reduced = _combination([_ONE, *(-v for v in y)], [cost, *(eq_matrix[i] for i in kept)])
             if any(r < 0 for r in reduced):
                 return None
-        values = [_ZERO] * width
+        return self._optimum(basis, x, stored)
+
+    def _optimum(self, basis, x, stored):
+        """The optimum with value ``x[k]`` on column ``basis[k]``: the
+        declared variables' values and the declared objective ``c.x``."""
+        # c.x over the nonzero terms alone: a sum over every column made the
+        # contextual-fraction LPs about an eighth slower
+        values, objective = [_ZERO] * len(self._names), _ZERO
         for j, v in zip(basis, x):
-            if j < width:
+            if j < len(values) and v:
                 values[j] = v
-        objective = sum((c * v for c, v in zip(self._objective, values)), _ZERO)
+                if self._objective[j]:
+                    objective += self._objective[j] * v
         return LpSolution("optimal", objective, dict(zip(self._names, values)), **stored)
 
     # ------------------------------------------------------------------
     @classmethod
-    def _phase_one(cls, tableau, dens, basis, width, kept, n_rows):
+    def _phase_one(cls, tableau, dens, basis, width):
         """Bland phase 1 from the all-artificial basis, in place.  Returns
-        the Farkas certificate over all ``n_rows`` rows when the program is
-        infeasible; otherwise leaves a feasible basis of real columns and a
-        tableau without the artificial columns, and returns None."""
-        m = len(kept)
+        True, with ``basis`` where it stopped, when artificial mass is left
+        (the program is infeasible); otherwise leaves a feasible basis of
+        real columns and a tableau without the artificials, and False."""
+        m = len(basis)
         # minimize the artificial total; each artificial column prices to
         # 1 - 1 = 0
         cls._price(tableau, dens, basis, [_ZERO] * width + [_ONE] * m + [_ZERO])
         if not cls._run_simplex(tableau, dens, basis, width + m):
             raise AssertionError("feasibility phase cannot be unbounded")
 
-        obj, obj_den = tableau.pop(), dens.pop()
-        if obj[-1] < 0:
-            cert = [_ZERO] * n_rows
-            for k, i in enumerate(kept):
-                cert[i] = Fraction(obj[width + k] - obj_den, obj_den)
-            return tuple(cert)
+        dens.pop()
+        if tableau.pop()[-1] < 0:
+            return True
 
         # pivot artificials out of the basis: the kept rows of a feasible
         # program have full row rank, so each such row has a real nonzero
@@ -366,7 +365,7 @@ class LinearProgram:
             tableau[i], dens[i] = lowest_terms(
                 tableau[i][:width] + [tableau[i][-1]], dens[i]
             )
-        return None
+        return False
 
     @staticmethod
     def _price(tableau, dens, basis, cost):

@@ -395,6 +395,8 @@ def fraction_via_connection(
     solution: LpSolution,
     state_index: int = 0,
     measurement_index: int = 0,
+    *,
+    limits: Limits = Limits(),
 ) -> Fraction:
     """Noncontextual weight recovered from the witness's exact parts.
 
@@ -403,11 +405,12 @@ def fraction_via_connection(
     spoke values are paired with one measurement's effects and averaged
     under the witness weights.  On feasible instances each valuation is
     fully exact, so the result equals the embedding's total weight — the
-    noncontextual fraction of the reproduced behavior.
+    noncontextual fraction of the reproduced behavior.  ``limits`` must be
+    the witness's own, as the vertices are enumerated again.
     """
     if solution.status != "optimal":
         raise ValueError("bridge needs a feasible embedding witness")
-    vertices = response_vertices(f).vertices
+    vertices = response_vertices(f, limits=limits).vertices
     oc = build_object_complex("effect", f, equivalences(f, "effect"), "topological")
     # each vertex is one ontic value: effect r responds vertex[r] there
     rep = OnticRepresentation(len(vertices), (), tuple(zip(*vertices)))

@@ -522,25 +522,22 @@ def random_acyclic_hypergraph(
     return h
 
 
-def _rip_order(h: CompatibilityHypergraph) -> list[int]:
+def _rip_order(h: CompatibilityHypergraph) -> list[int] | None:
     """Construction order in which each context meets earlier ones inside
-    a single earlier context; exists exactly for acyclic hypergraphs."""
+    a single earlier context; None exactly when ``h`` is not acyclic."""
     sets = [frozenset(c) for c in h.contexts]
     remaining = list(range(len(sets)))
     peeled = []
     while remaining:
-        if len(remaining) == 1:
-            peeled.append(remaining.pop())
-            break
         for idx in remaining:
             others = [j for j in remaining if j != idx]
             separator = sets[idx] & frozenset().union(*(sets[j] for j in others))
-            if any(separator <= sets[j] for j in others):
+            if not others or any(separator <= sets[j] for j in others):
                 peeled.append(idx)
                 remaining.remove(idx)
                 break
         else:
-            raise ValueError("hypergraph is not acyclic")
+            return None
     peeled.reverse()
     return peeled
 
@@ -576,9 +573,9 @@ def random_nondisturbing_model(
     if outcomes is None:
         outcomes = {m: rng.randint(2, 3) for m in h.measurements}
     tables: dict[int, dict] = {}
-    if is_acyclic(h):
+    if (order := _rip_order(h)) is not None:
         placed: list[int] = []
-        for idx in _rip_order(h):
+        for idx in order:
             context = h.contexts[idx]
             seen = {m for j in placed for m in h.contexts[j]}
             shared = tuple(m for m in context if m in seen)

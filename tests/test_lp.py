@@ -206,6 +206,11 @@ def test_infeasible_simple():
     sol = lp.solve()
     assert sol.status == "infeasible"
     assert sol.certificate_checks()
+    # Bland phase 1 builds no Farkas vector itself: it hands its basis to
+    # _certify, and a refusal there is the solver's own fault
+    with patch.object(LinearProgram, "_certify", lambda *args: None):
+        with pytest.raises(AssertionError, match="failed self-check"):
+            lp.solve()
 
 
 def test_redundant_rows_are_harmless():

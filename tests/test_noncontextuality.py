@@ -875,6 +875,20 @@ def test_bridge_recovers_ncf_on_feasible_instances(noisy_results):
             )
 
 
+def test_bridge_enumerates_under_the_witness_limits():
+    # 21 effects pass only raised limits; the bridge must take them too
+    assert fraction_via_connection(
+        classical_simplex(20), noncontextual_lp(classical_simplex(20))
+    ) == 1
+    raised = Limits(effects=30, equivalences=30)
+    f = classical_simplex(21)
+    solution = noncontextual_lp(f, limits=raised)
+    assert solution.status == "optimal"
+    assert fraction_via_connection(f, solution, limits=raised) == 1
+    with pytest.raises(ScaleCapError, match="21 effects exceeds 20"):
+        fraction_via_connection(f, solution)
+
+
 def test_bridge_rejects_infeasible_witnesses():
     solution = noncontextual_lp(gbit())
     with pytest.raises(ValueError, match="feasible"):

@@ -23,6 +23,7 @@ from contextua.scenarios import (
     SCENARIOS,
     TSIRELSON_ANGLES,
     _check_model,
+    _rip_order,
     chsh_quantum,
     chsh_value,
     classical_simplex,
@@ -316,6 +317,31 @@ def test_random_acyclic_hypergraphs_reduce_to_empty():
         reduced, trace = graham_reduce(h)
         assert reduced.is_empty
         assert trace
+
+
+def test_a_join_tree_order_exists_exactly_on_acyclic_hypergraphs():
+    # random_nondisturbing_model branches on _rip_order alone, so it must
+    # decide acyclicity as Graham reduction does
+    names = ("a", "b", "c", "d", "e")
+    subsets = [
+        tuple(m for i, m in enumerate(names) if mask >> i & 1)
+        for mask in range(1, 2 ** len(names))
+    ]
+    verdicts = set()
+    for seed in range(300):
+        rng = Random(seed)
+        contexts = rng.sample(subsets, rng.randint(1, 5))
+        used = tuple(m for m in names if any(m in c for c in contexts))
+        h = CompatibilityHypergraph(used, tuple(contexts))
+        order, acyclic = _rip_order(h), is_acyclic(h)
+        verdicts.add(acyclic)
+        assert (order is not None) == acyclic
+        if order is not None:
+            for k, idx in enumerate(order[1:], 1):
+                earlier = [set(h.contexts[j]) for j in order[:k]]
+                meet = set(h.contexts[idx]) & set().union(*earlier)
+                assert any(meet <= e for e in earlier)
+    assert verdicts == {True, False}
 
 
 def test_random_nondisturbing_models_agree_on_intersections():
